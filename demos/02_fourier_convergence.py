@@ -14,9 +14,9 @@ degrees = [8, 16, 32, 64, 128]
 
 rows = error_table(f, degrees, eval_size=(512, 256), oversample=4)
 print("three-cap combination, rectangular truncation:")
-print(f"{'h':>5} {'terms':>7} {'max error':>12} {'elapsed':>9}")
+print(f"{'h':>5} {'terms':>7} {'max error':>12} {'cumulative time':>16}")
 for r in rows:
-    print(f"{r.degree:>5} {r.n_terms:>7} {r.max_error:>12.3e} {r.elapsed:>8.2f}s")
+    print(f"{r.degree:>5} {r.n_terms:>7} {r.max_error:>12.3e} {r.elapsed:>15.2f}s")
 print(f"fitted slope (h >= 16): {fit_rate(rows[1:]):.2f}  (guarantee: <= -3)")
 
 f1 = spherical_function(preset("f1"))

@@ -6,9 +6,8 @@ small report object; reports carry everything a caller needs to assert or
 serialize.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,8 @@ from .spectral import SpectralSet, compute_coefficients, partial_sum_grid
 __all__ = [
     "ZetaTailResult",
     "zeta_tail_sum",
+    "Truncation",
+    "truncations",
     "ErrorTableRow",
     "error_table",
     "fit_rate",
@@ -34,16 +35,6 @@ __all__ = [
     "uniform_convergence_check",
     "adaptive_quadrature",
 ]
-
-
-def worker_count():
-    """Internal parallelism cap: the DFS_THREADS environment variable, if set."""
-    raw = os.environ.get("DFS_THREADS", "")
-    try:
-        n = int(raw)
-        return max(1, n)
-    except ValueError:
-        return min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -89,23 +80,6 @@ class ErrorTableRow:
     sh_max_error: float | None = None
 
 
-def _eval_reference(f, n_lambda, n_theta_half):
-    return sample_sphere(f, n_lambda, n_theta_half)
-
-
-def _truncation_error(table, omega_half, reference):
-    """Sup error of the folded partial sum over a lat-lon evaluation grid.
-
-    Evaluated through the torus route: inverse FFT over the symmetrized set on
-    the doubled evaluation grid, restricted to colatitudes in [0, pi].
-    """
-    nth = reference.n_theta_half
-    nlam = reference.n_lambda
-    torus = partial_sum_grid(table, omega_half.symmetrized(), 2 * nth, nlam)
-    upper = np.vstack([torus.values[nth:], torus.values[0:1]])
-    return float(np.max(np.abs(upper - reference.values)))
-
-
 def coefficient_table_for(f, max_degree, oversample=4, grid_size=None):
     """Coefficient table of the doubled grid, oversampled past a degree bound."""
     if grid_size is None:
@@ -113,6 +87,37 @@ def coefficient_table_for(f, max_degree, oversample=4, grid_size=None):
         grid_size += grid_size % 2
     g = sample_sphere(f, grid_size, grid_size // 2)
     return compute_coefficients(dfs_double(g))
+
+
+#: one degree of :func:`truncations`
+Truncation = namedtuple("Truncation", "table reference omega torus max_error")
+
+
+def truncations(
+    f, degrees, shape="rectangle", norm="l2", eval_size=(512, 256), oversample=4, grid_size=None
+):
+    """Folded truncations of f at ascending degrees and their sup errors.
+
+    Builds one coefficient table (see :func:`coefficient_table_for`) and one
+    lat-lon reference grid of ``eval_size = (n_lambda, n_theta_half)``. For
+    each degree it synthesizes the symmetrized half-domain truncation on the
+    doubled evaluation grid with the inverse FFT, crops that torus grid to
+    colatitudes in [0, pi] and yields a :class:`Truncation` carrying the table,
+    the reference, the half-domain set, the torus grid and the sup error over
+    the reference.
+    """
+    degrees = list(degrees)
+    if degrees != sorted(degrees):
+        raise ValueError("degrees must be ascending")
+    table = coefficient_table_for(f, degrees[-1], oversample, grid_size)
+    reference = sample_sphere(f, *eval_size)
+    nth = reference.n_theta_half
+    for h in degrees:
+        omega = SpectralSet(shape, h, norm, half=True)
+        torus = partial_sum_grid(table, omega.symmetrized(), 2 * nth, reference.n_lambda)
+        upper = np.vstack([torus.values[nth:], torus.values[0:1]])
+        err = float(np.max(np.abs(upper - reference.values)))
+        yield Truncation(table, reference, omega, torus, err)
 
 
 def error_table(
@@ -143,44 +148,31 @@ def error_table(
     sh_coefficients : SHCoefficients, optional
         When given, a spherical-harmonics truncation error at each degree is
         recorded alongside (comparison baseline).
+
+    Rows are computed in order; each row's ``elapsed`` is the wall time from
+    the start of the call to the end of that row, so it includes the
+    coefficient table, the reference grid and the spherical-harmonics sums.
     """
+    start = time.perf_counter()
     degrees = list(degrees)
-    if degrees != sorted(degrees):
-        raise ValueError("degrees must be ascending")
-    table = coefficient_table_for(f, degrees[-1], oversample, grid_size)
-    reference = _eval_reference(f, *eval_size)
+    rows = []
+    for t in truncations(f, degrees, shape, norm, eval_size, oversample, grid_size):
+        sh_error = None
+        if sh_coefficients is not None:
+            if not rows:  # one pass serves every degree; timed within the first row
+                from .sh_reference import sh_partial_sums
 
-    sh_errors = {}
-    if sh_coefficients is not None:
-        from .sh_reference import sh_partial_sums
-
-        lam = reference.lambdas
-        th = reference.thetas
-        L, T = np.meshgrid(lam, th)
-        pts = dfs_coord(L, T)
-        sums = sh_partial_sums(sh_coefficients, pts, degrees)
-        for h, s in zip(degrees, sums):
-            sh_errors[h] = float(np.max(np.abs(s - reference.values)))
-
-    def one(h):
-        start = time.perf_counter()
-        omega = SpectralSet(shape, h, norm, half=True)
-        err = _truncation_error(table, omega, reference)
-        return ErrorTableRow(
-            degree=h,
+                L, T = np.meshgrid(t.reference.lambdas, t.reference.thetas)
+                sh_sums = sh_partial_sums(sh_coefficients, dfs_coord(L, T), degrees)
+            sh_error = float(np.max(np.abs(sh_sums[len(rows)] - t.reference.values)))
+        rows.append(ErrorTableRow(
+            degree=t.omega.degree,
             shape=shape if shape == "rectangle" else f"ball-{norm}",
-            n_terms=omega.size,
-            max_error=err,
+            n_terms=t.omega.size,
+            max_error=t.max_error,
             elapsed=time.perf_counter() - start,
-            sh_max_error=sh_errors.get(h),
-        )
-
-    workers = min(worker_count(), len(degrees))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, degrees))
-    else:
-        rows = [one(h) for h in degrees]
+            sh_max_error=sh_error,
+        ))
     return rows
 
 
@@ -439,18 +431,9 @@ def uniform_convergence_check(
     the excluded indices; the tail is computed over the stored table (beyond
     it the coefficients are below the aliasing allowance).
     """
-    degrees = list(degrees)
-    if degrees != sorted(degrees):
-        raise ValueError("degrees must be ascending")
-    table = coefficient_table_for(f, degrees[-1], oversample, grid_size)
-    reference = _eval_reference(f, *eval_size)
-    absc = np.abs(table.values)
-    N1, N2 = len(table.n1_values), len(table.n2_values)
-    G1, G2 = np.meshgrid(table.n1_values, table.n2_values)
     stages = []
-    for h in degrees:
-        omega = SpectralSet(shape, h, norm, half=True)
-        err = _truncation_error(table, omega, reference)
-        tail = float(np.sum(absc[~omega.symmetrized().contains(G1, G2)]))
-        stages.append(ConvergenceStage(degree=h, measured_error=err, tail_sum=tail))
+    for t in truncations(f, degrees, shape, norm, eval_size, oversample, grid_size):
+        inside = t.omega.symmetrized().contains(t.table.n1_values[None, :], t.table.n2_values[:, None])
+        tail = float(np.sum(np.abs(t.table.values[~inside])))
+        stages.append(ConvergenceStage(degree=t.omega.degree, measured_error=t.max_error, tail_sum=tail))
     return stages

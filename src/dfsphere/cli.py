@@ -22,13 +22,7 @@ import numpy as np
 
 from . import analysis, spectral, testfns
 from .grids import dfs_double, grid_io_write, sample_sphere
-from .spectral import (
-    SpectralSet,
-    coeff_io_write,
-    compute_coefficients,
-    gram_matrix,
-    partial_sum_grid,
-)
+from .spectral import coeff_io_write, compute_coefficients, gram_matrix
 
 SCHEMA_VERSION = 1
 
@@ -121,22 +115,16 @@ def cmd_coeffs(args):
 def cmd_approx(args):
     f, name = _load_function(args)
     n = _check_grid(args.grid)
-    degrees = _parse_degrees(args.degrees)
-    h = degrees[-1]
+    h = _parse_degrees(args.degrees)[-1]
     if not args.out:
         raise ConfigError("approx requires --out for the reconstruction grid file")
     if n < 4 * h:
         raise ConfigError(f"grid {n} under-samples degree {h}; need >= {4 * h} (4x oversampling)")
-    table = compute_coefficients(dfs_double(sample_sphere(f, n, n // 2)))
-    omega = SpectralSet(args.shape, h, args.norm, half=True)
-    ne_lam, ne_th = 512, 256
-    torus = partial_sum_grid(table, omega.symmetrized(), 2 * ne_th, ne_lam)
-    reference = sample_sphere(f, ne_lam, ne_th)
-    upper = np.vstack([torus.values[ne_th:], torus.values[0:1]])
-    err = float(np.max(np.abs(upper - reference.values)))
-    grid_io_write(torus, args.out)
-    print(f"approx {name}: degree {h} {omega.shape} ({omega.size} terms) -> {args.out}")
-    print(f"max error on {ne_lam} x {ne_th + 1} grid: {err:.6e}")
+    (t,) = analysis.truncations(f, [h], args.shape, args.norm, grid_size=n)
+    grid_io_write(t.torus, args.out)
+    ref = t.reference
+    print(f"approx {name}: degree {h} {t.omega.shape} ({t.omega.size} terms) -> {args.out}")
+    print(f"max error on {ref.n_lambda} x {ref.n_theta_half + 1} grid: {t.max_error:.6e}")
     return 0
 
 
@@ -158,47 +146,33 @@ def cmd_error_table(args):
         oversample=args.oversample,
         sh_coefficients=sh_coeffs,
     )
-    header = ["h", "shape", "n_terms", "max_error", "elapsed_s"]
-    if args.sh:
-        header.append("sh_max_error")
-    out_rows = []
-    for r in rows:
-        row = [r.degree, r.shape, r.n_terms, f"{r.max_error:.12e}", f"{r.elapsed:.6f}"]
-        if args.sh:
-            row.append(f"{r.sh_max_error:.12e}")
-        out_rows.append(row)
-    if len(degrees) >= 3:
-        try:
-            slope = analysis.fit_rate(rows)
-            foot = ["slope", "", "", f"{slope:.6f}", ""]
-            if args.sh:
-                foot.append("")
-            out_rows.append(foot)
-        except ValueError:
-            pass
-    if args.format == "json":
-        payload = {
-            "function": name,
-            "rows": [
-                {
-                    "h": r.degree,
-                    "shape": r.shape,
-                    "n_terms": r.n_terms,
-                    "max_error": r.max_error,
-                    "elapsed_s": r.elapsed,
-                    **({"sh_max_error": r.sh_max_error} if args.sh else {}),
-                }
-                for r in rows
-            ],
+    try:
+        slope = analysis.fit_rate(rows)
+    except ValueError:  # fewer than three rows with positive error
+        slope = None
+    records = [
+        {
+            "h": r.degree,
+            "shape": r.shape,
+            "n_terms": r.n_terms,
+            "max_error": r.max_error,
+            "elapsed_s": r.elapsed,
+            **({"sh_max_error": r.sh_max_error} if args.sh else {}),
         }
-        if len(degrees) >= 3:
-            try:
-                payload["slope"] = analysis.fit_rate(rows)
-            except ValueError:
-                pass
+        for r in rows
+    ]
+    if args.format == "json":
+        payload = {"function": name, "rows": records}
+        if slope is not None:
+            payload["slope"] = slope
         _write_json(args.out, payload)
-    else:
-        _write_csv(args.out, header, out_rows)
+        return 0
+    header = list(records[0])
+    formats = {"max_error": "{:.12e}", "elapsed_s": "{:.6f}", "sh_max_error": "{:.12e}"}
+    out_rows = [[formats.get(k, "{}").format(v) for k, v in rec.items()] for rec in records]
+    if slope is not None:
+        out_rows.append(["slope", "", "", f"{slope:.6f}"] + [""] * (len(header) - 4))
+    _write_csv(args.out, header, out_rows)
     return 0
 
 

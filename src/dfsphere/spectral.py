@@ -102,14 +102,14 @@ class CoefficientTable:
 
         The reflection is taken modulo the table size, so the Nyquist row
         pairs with itself; the relative scale is global because individual
-        coefficients may be exactly zero.
+        coefficients may be exactly zero. Non-finite entries give NaN.
         """
         N2 = self.values.shape[0]
         rows = (-(self.n2_values) + N2 // 2) % N2
         reflected = self.values[rows, :]
         resid = np.abs(self.values - _alternating(self.n1_values)[None, :] * reflected)
         scale = np.max(np.abs(self.values))
-        return float(np.max(resid) / scale) if scale > 0 else 0.0
+        return 0.0 if scale == 0 else float(np.max(resid) / scale)
 
     def conjugate_symmetry_violation(self):
         """Max |c_{-n} - conj(c_n)| relative to the largest coefficient."""
@@ -119,7 +119,7 @@ class CoefficientTable:
         reflected = self.values[np.ix_(rows, cols)]
         resid = np.abs(reflected - np.conj(self.values))
         scale = np.max(np.abs(self.values))
-        return float(np.max(resid) / scale) if scale > 0 else 0.0
+        return 0.0 if scale == 0 else float(np.max(resid) / scale)
 
 
 @dataclass
@@ -193,10 +193,7 @@ class SpectralSet:
 
     @property
     def size(self):
-        return int(np.count_nonzero(self.contains(*np.meshgrid(
-            np.arange(-self.degree, self.degree + 1),
-            np.arange(0 if self.half else -self.degree, self.degree + 1),
-            indexing="ij"))))
+        return len(self.members()[0])
 
     def symmetrized(self):
         """The union with its reflection M(n1, n2) = (n1, -n2).
@@ -222,7 +219,7 @@ def compute_coefficients(grid):
 
 
 def _require_within_table(table, omega):
-    if omega.degree > min(table.values.shape[0] // 2 - 1, table.values.shape[1] // 2 - 1):
+    if omega.degree > table.max_degree:
         raise ValueError(
             f"truncation degree {omega.degree} exceeds the table range "
             f"(max usable degree {table.max_degree})"
@@ -348,11 +345,6 @@ def quadrature_rule(n_quad):
     return lam, theta, weight
 
 
-def _sample_on_quadrature(f, lam, theta):
-    L, T = np.meshgrid(lam, theta)
-    return np.asarray(f(dfs_coord(L, T)), dtype=complex)
-
-
 def weighted_inner_product(f, g, n_quad=512):
     """Inner product of spherical functions in the weighted L2 space.
 
@@ -361,10 +353,7 @@ def weighted_inner_product(f, g, n_quad=512):
     (f o phi)(g o phi)* over [-pi, pi) x [0, pi]: the colatitude weight cancels
     the sine of the surface measure.
     """
-    lam, theta, w = quadrature_rule(n_quad)
-    F = _sample_on_quadrature(f, lam, theta)
-    G = _sample_on_quadrature(g, lam, theta)
-    return complex(np.sum(F * np.conj(G)) * w)
+    return complex(gram_matrix([f, g], n_quad)[0, 1])
 
 
 def gram_matrix(functions, n_quad=512):
@@ -373,10 +362,13 @@ def gram_matrix(functions, n_quad=512):
     Each function is sampled once on the shared quadrature grid, so this is
     the economical way to compute all pairwise inner products.
     """
+    functions = list(functions)
     lam, theta, w = quadrature_rule(n_quad)
-    rows = [np.ravel(_sample_on_quadrature(f, lam, theta)) for f in functions]
-    A = np.array(rows)
-    return (A * w) @ A.conj().T
+    nodes = dfs_coord(*np.meshgrid(lam, theta))
+    A = np.empty((len(functions), n_quad * n_quad), dtype=complex)
+    for row, f in zip(A, functions):
+        row[:] = np.ravel(f(nodes))
+    return w * (A @ A.conj().T)
 
 
 def dfs_fourier_sum(table, omega, points):
@@ -414,10 +406,10 @@ def fold_coefficients(table, tol=1e-8):
     Rows n2 and -n2 are averaged as (c_n + (-1)^{n1} c_{M(n)}) / 2; the n2 = 0
     row and the Nyquist row are averaged with themselves, which zeroes their
     odd-n1 entries. Raises if the relative asymmetry exceeds ``tol`` (the
-    source grid was not BMC).
+    source grid was not BMC) or is NaN (the table holds non-finite values).
     """
     violation = table.symmetry_violation()
-    if violation > tol:
+    if not violation <= tol:
         raise ValueError(
             f"coefficient symmetry violated (relative asymmetry {violation:.3e} > {tol:.1e}); "
             "source grid is not block-mirror-centrosymmetric"
@@ -440,8 +432,7 @@ def unfold_coefficients(folded):
     full = np.empty((N2, N1), dtype=complex)
     full[N2 // 2:] = folded.values[: N2 // 2]
     full[0] = folded.values[N2 // 2]
-    for n2 in range(1, N2 // 2):
-        full[N2 // 2 - n2] = sgn * folded.values[n2]
+    full[N2 // 2 - 1:0:-1] = sgn * folded.values[1:N2 // 2]
     return CoefficientTable(full, normalization=folded.normalization, source_bmc=True)
 
 

@@ -58,8 +58,10 @@ class TestFunctionSpec:
         self.rotation = np.asarray(self.rotation, dtype=float)
         if self.rotation.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
-        if np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3))) > 1e-12:
-            raise ValueError("rotation matrix is not orthogonal within 1e-12")
+        if not np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3))) <= 1e-12:
+            raise ValueError("rotation matrix must be finite and orthogonal within 1e-12")
+        if not np.isfinite(self.weight):
+            raise ValueError(f"weight must be finite, got {self.weight}")
         if self.kind == "f_nu" and not (0.0 < self.a < 1.0):
             raise ValueError("plateau cut a must lie in (0, 1)")
 

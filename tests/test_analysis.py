@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -97,6 +99,18 @@ class TestErrorTable:
     def test_rejects_unsorted_degrees(self):
         with pytest.raises(ValueError, match="ascending"):
             error_table(combo(), [16, 8])
+
+    def test_elapsed_is_cumulative_from_call_start(self):
+        from dfsphere.sh_reference import sh_analyze
+
+        f = combo()
+        sh = sh_analyze(sample_sphere(f, 128, 64), 24)
+        start = time.perf_counter()
+        rows = error_table(f, [8, 16, 24], eval_size=(128, 64), grid_size=128, sh_coefficients=sh)
+        wall = time.perf_counter() - start
+        elapsed = [r.elapsed for r in rows]
+        assert elapsed == sorted(elapsed)
+        assert elapsed[-1] >= 0.9 * wall
 
 
 class TestDecayReport:
@@ -271,22 +285,3 @@ class TestConcurrency:
             parallel = list(pool.map(lambda p: dfs_fourier_sum(table, omega, p), batches))
         for s, p in zip(serial, parallel):
             assert np.array_equal(s, p)
-
-    def test_worker_count_env(self, monkeypatch):
-        from dfsphere.analysis import worker_count
-
-        monkeypatch.setenv("DFS_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("DFS_THREADS", "0")
-        assert worker_count() == 1  # floor at one worker
-        monkeypatch.delenv("DFS_THREADS")
-        assert worker_count() >= 1
-
-    def test_error_table_deterministic_under_thread_cap(self, monkeypatch):
-        f = combo()
-        monkeypatch.setenv("DFS_THREADS", "4")
-        rows_par = error_table(f, [8, 16, 32], eval_size=(128, 64), grid_size=256)
-        monkeypatch.setenv("DFS_THREADS", "1")
-        rows_ser = error_table(f, [8, 16, 32], eval_size=(128, 64), grid_size=256)
-        assert [r.degree for r in rows_par] == [r.degree for r in rows_ser]
-        assert [r.max_error for r in rows_par] == [r.max_error for r in rows_ser]

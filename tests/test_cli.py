@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dfsphere.analysis import error_table
 from dfsphere.cli import main
 from dfsphere.grids import grid_io_read
 from dfsphere.spectral import coeff_io_read
+from dfsphere.testfns import preset, spherical_function
 
 
 def run(argv):
@@ -82,6 +84,40 @@ class TestApprox:
             "--degrees", "16", "--out", str(tmp_path / "a.dfsg"),
         ])
         assert code == 2
+
+    def test_max_error_matches_error_table(self, tmp_path, capsys):
+        out = tmp_path / "a.dfsg"
+        code = run([
+            "approx", "--preset", "f3-combo", "--grid", "256",
+            "--degrees", "16", "--out", str(out),
+        ])
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()[-1].split(": ")[-1]
+        f = spherical_function(preset("f3-combo"))
+        row = error_table(f, [16], grid_size=256)[0]
+        assert printed == f"{row.max_error:.6e}"
+
+
+class TestNonFiniteSpec:
+    @pytest.fixture
+    def nan_spec(self, tmp_path):
+        # json.dumps writes the bare token NaN, which json.load reads back as nan
+        spec = tmp_path / "nan.json"
+        spec.write_text(json.dumps({"terms": [{"kind": "f_nu", "weight": float("nan")}]}))
+        return str(spec)
+
+    def test_verify_bmc_symmetry_exits_two(self, tmp_path, nan_spec, capsys):
+        out = tmp_path / "b.json"
+        code = run(["verify", "bmc-symmetry", "--spec", nan_spec, "--grid", "64", "--out", str(out)])
+        assert code == 2
+        assert "PASS" not in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_approx_exits_two(self, tmp_path, nan_spec):
+        out = tmp_path / "a.dfsg"
+        code = run(["approx", "--spec", nan_spec, "--grid", "64", "--degrees", "8", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
 
 def read_csv(path):

@@ -375,6 +375,14 @@ class TestFold:
         with pytest.raises(ValueError, match="not block-mirror-centrosymmetric"):
             fold_coefficients(table)
 
+    def test_nan_entry_propagates_and_fold_raises(self):
+        table = cos_theta_table(16)
+        table.values[3, 5] = np.nan
+        assert np.isnan(table.symmetry_violation())
+        assert np.isnan(table.conjugate_symmetry_violation())
+        with pytest.raises(ValueError, match="symmetry violated"):
+            fold_coefficients(table)
+
 
 class TestCoeffIO:
     def test_round_trip(self, tmp_path):

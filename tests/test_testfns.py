@@ -45,6 +45,13 @@ class TestRotation:
         with pytest.raises(ValueError, match="orthogonal"):
             TestFunctionSpec("f_nu", rotation=np.eye(3) * 1.001)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_spec_rejects_non_finite_rotation(self, bad):
+        rotation = np.eye(3)
+        rotation[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TestFunctionSpec("f_nu", rotation=rotation)
+
 
 class TestFNu:
     def test_value_at_rotated_pole(self):
@@ -63,6 +70,11 @@ class TestFNu:
     def test_rejects_bad_cut(self):
         with pytest.raises(ValueError, match="a must lie"):
             TestFunctionSpec("f_nu", a=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="weight must be finite"):
+            TestFunctionSpec("f_nu", weight=bad)
 
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_smoothness_order_at_cut(self, nu):
