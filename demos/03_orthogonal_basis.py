@@ -15,11 +15,13 @@ import numpy as np
 from dfsphere import (
     SpectralSet,
     basis_b,
+    basis_gram,
     compute_coefficients,
     dfs_double,
     dfs_fourier_sum,
     fold_coefficients,
     gram_matrix,
+    orthogonal_indices,
     sample_sphere,
     spherical_function,
     standard_combination,
@@ -43,10 +45,12 @@ print("\nthe glide-antisymmetric exception (closed form -8 pi i / n2):")
 val = weighted_inner_product(b(1, 0), b(1, 1))
 print(f"  <b_(1,0), b_(1,1)> = {val:.6f}   (exact {-8j * np.pi:.6f})")
 
-family = [(a, c) for a in range(-4, 5) for c in range(0, 5) if not (c == 0 and a % 2)]
+family = orthogonal_indices(4)
 G = gram_matrix([b(*nm) for nm in family], n_quad=512)
 off = np.abs(G - np.diag(np.diag(G))).max()
 print(f"\nGram of the {len(family)} orthogonal members: max off-diagonal {off:.2e}")
+G_sep = basis_gram(family, n_quad=512)
+print(f"separable basis_gram, same quadrature: max |difference| {np.abs(G_sep - G).max():.2e}")
 
 f = spherical_function(standard_combination())
 table = compute_coefficients(dfs_double(sample_sphere(f, 256, 128)))

@@ -22,12 +22,14 @@ from .spectral import (
     SpectralSet,
     basis_b,
     basis_e,
+    basis_gram,
     coeff_io_read,
     coeff_io_write,
     compute_coefficients,
     dfs_fourier_sum,
     fold_coefficients,
     gram_matrix,
+    orthogonal_indices,
     partial_sum_grid,
     partial_sum_torus,
     unfold_coefficients,
@@ -44,6 +46,7 @@ __all__ = [
     "assoc_legendre",
     "basis_b",
     "basis_e",
+    "basis_gram",
     "CoefficientTable",
     "coeff_io_read",
     "coeff_io_write",
@@ -60,6 +63,7 @@ __all__ = [
     "grid_io_write",
     "jacobian",
     "LatLonGrid",
+    "orthogonal_indices",
     "partial_sum_grid",
     "partial_sum_torus",
     "preset",

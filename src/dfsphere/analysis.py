@@ -11,7 +11,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta as riemann_zeta
 
 from .geometry import dfs_coord
 from .grids import sample_sphere, dfs_double
@@ -57,6 +56,9 @@ def zeta_tail_sum(k, alpha, h):
     up to radius h is 4 * sum_{r <= h} r^{1 - k - alpha}, which increases to
     4 zeta(k + alpha - 1).
     """
+    # imported here: scipy.special takes most of the time of `import dfsphere`
+    from scipy.special import zeta as riemann_zeta
+
     if k + alpha <= 2:
         raise ValueError("series diverges for k + alpha <= 2")
     if h < 1:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, spectral, testfns
 from .grids import dfs_double, grid_io_write, sample_sphere
-from .spectral import coeff_io_write, compute_coefficients, gram_matrix
+from .spectral import coeff_io_write, compute_coefficients
 
 SCHEMA_VERSION = 1
 
@@ -188,20 +188,8 @@ def _verify_bmc_symmetry(args, report):
 
 
 def _verify_orthogonality(args, report):
-    # Gram of the push-down basis over |n1| <= 4, 0 <= n2 <= 4, skipping the
-    # glide-antisymmetric members (odd n1 with n2 = 0), which are not part of
-    # the orthogonal family.
-    indices = [
-        (a, b)
-        for a in range(-4, 5)
-        for b in range(0, 5)
-        if not (b == 0 and a % 2 != 0)
-    ]
-    funcs = [
-        (lambda a=a, b=b: (lambda pts: spectral.basis_b(a, b, pts)))()
-        for a, b in indices
-    ]
-    G = gram_matrix(funcs, n_quad=512)
+    indices = spectral.orthogonal_indices(4)
+    G = spectral.basis_gram(indices, n_quad=512)
     off = np.abs(G - np.diag(np.diag(G)))
     diag = np.real(np.diag(G))
     expected = np.array([2 * np.pi**2 if b == 0 else 4 * np.pi**2 for a, b in indices])

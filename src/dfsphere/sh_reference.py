@@ -108,14 +108,14 @@ class SHCoefficients:
         return self.values[n, k + self.degree]
 
     def conjugate_symmetry_violation(self):
-        """Max |fhat_{n,-k} - (-1)^k conj(fhat_{n,k})| over the triangle (real sources)."""
-        worst = 0.0
-        for n in range(self.degree + 1):
-            for k in range(0, n + 1):
-                lhs = self.coeff(n, -k)
-                rhs = (-1.0) ** k * np.conj(self.coeff(n, k))
-                worst = max(worst, abs(lhs - rhs))
-        return worst
+        """Max |fhat_{n,-k} - (-1)^k conj(fhat_{n,k})| over the triangle (real sources).
+
+        Non-finite entries give NaN.
+        """
+        h = self.degree
+        k = np.arange(h + 1)
+        resid = np.abs(self.values[:, h - k] - (-1.0) ** k * np.conj(self.values[:, h + k]))
+        return float(np.max(resid[k[None, :] <= k[:, None]]))
 
 
 def sh_analyze(grid, h):

@@ -30,10 +30,12 @@ __all__ = [
     "partial_sum_torus",
     "partial_sum_grid",
     "basis_e",
+    "orthogonal_indices",
     "basis_b",
     "weighted_inner_product",
     "quadrature_rule",
     "gram_matrix",
+    "basis_gram",
     "dfs_fourier_sum",
     "fold_coefficients",
     "unfold_coefficients",
@@ -43,9 +45,6 @@ __all__ = [
 
 COEFF_MAGIC = b"DFSC"
 COEFF_VERSION = 1
-
-#: direct point-evaluation is chunked to keep peak memory bounded
-_CHUNK = 1 << 21
 
 
 def _alternating(n):
@@ -218,42 +217,51 @@ def compute_coefficients(grid):
     return CoefficientTable(table, source_bmc=grid.bmc)
 
 
-def _require_within_table(table, omega):
+def _truncated_block(table, omega):
+    """(n1, n2, block) with block[j, k] = c_(n1[k], n2[j]) for members of ``omega``, else 0.
+
+    The index ranges are the square |n1|, |n2| <= degree; ``omega=None`` gives
+    a copy of the whole table.
+    """
+    if omega is None:
+        return table.n1_values, table.n2_values, table.values.copy()
     if omega.degree > table.max_degree:
         raise ValueError(
             f"truncation degree {omega.degree} exceeds the table range "
             f"(max usable degree {table.max_degree})"
         )
+    N2, N1 = table.values.shape
+    n = np.arange(-omega.degree, omega.degree + 1)
+    block = table.values[np.ix_(n + N2 // 2, n + N1 // 2)]
+    block[~omega.contains(*np.meshgrid(n, n))] = 0.0
+    return n, n, block
+
+
+def _separable_sum(n1, n2, block, lam, theta):
+    """sum_{j,k} block[j, k] exp(i (n1[k] lam + n2[j] theta)) at the points (lam, theta).
+
+    Each term factors as exp(i n1 lam) exp(i n2 theta), so the sum is
+    sum_k (E_theta @ block)[p, k] E_lam[p, k] over two tables of 1-D phases.
+    """
+    lam = np.asarray(lam, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    shape = np.broadcast(lam, theta).shape
+    e_lam = np.exp(1j * np.outer(np.broadcast_to(lam, shape), n1))
+    e_theta = np.exp(1j * np.outer(np.broadcast_to(theta, shape), n2))
+    out = np.einsum("pk,pk->p", e_theta @ block, e_lam).reshape(shape)
+    return out if shape else complex(out)
 
 
 def partial_sum_torus(table, omega, lam, theta):
     """Evaluate the partial Fourier sum over a full-domain set at torus points.
 
-    Direct summation sum_{n in omega} c_n exp(i <n, x>); ``omega=None`` sums
-    the whole table. Use :func:`partial_sum_grid` for grid-aligned evaluation
-    via the inverse FFT.
+    sum_{n in omega} c_n exp(i <n, x>) by the separable kernel; ``omega=None``
+    sums the whole table, and scalar angles give a complex. Use
+    :func:`partial_sum_grid` for grid-aligned evaluation via the inverse FFT.
     """
-    if omega is None:
-        G1, G2 = np.meshgrid(table.n1_values, table.n2_values)
-        n1, n2 = G1.ravel(), G2.ravel()
-    else:
-        if omega.half:
-            raise ValueError("partial_sum_torus expects a full-domain spectral set")
-        _require_within_table(table, omega)
-        n1, n2 = omega.members()
-    coeffs = table.coeff(n1, n2)
-    lam = np.asarray(lam, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(np.broadcast(lam, theta).shape, dtype=complex)
-    flat_l = np.broadcast_to(lam, out.shape).ravel()
-    flat_t = np.broadcast_to(theta, out.shape).ravel()
-    flat = out.ravel()
-    step = max(1, _CHUNK // max(1, len(n1)))
-    for s in range(0, flat.size, step):
-        sl = slice(s, s + step)
-        phase = np.exp(1j * (np.outer(flat_l[sl], n1) + np.outer(flat_t[sl], n2)))
-        flat[sl] = phase @ coeffs
-    return out if out.shape else complex(flat[0])
+    if omega is not None and omega.half:
+        raise ValueError("partial_sum_torus expects a full-domain spectral set")
+    return _separable_sum(*_truncated_block(table, omega), lam, theta)
 
 
 def partial_sum_grid(table, omega, n_theta, n_lambda):
@@ -264,26 +272,13 @@ def partial_sum_grid(table, omega, n_theta, n_lambda):
     least as large as the table). Agrees with :func:`partial_sum_torus` at the
     grid points to rounding.
     """
-    N2, N1 = table.values.shape
-    if omega is None:
-        if n_theta < N2 or n_lambda < N1:
-            raise ValueError("target grid is smaller than the coefficient table")
-        n1 = table.n1_values
-        n2 = table.n2_values
-        block = table.values.copy()
-    else:
-        if omega.half:
-            raise ValueError("partial_sum_grid expects a full-domain spectral set")
-        _require_within_table(table, omega)
-        h = omega.degree
-        if 2 * h + 1 > n_theta or 2 * h + 1 > n_lambda:
-            raise ValueError(
-                f"target grid {n_theta} x {n_lambda} cannot hold degree-{h} content"
-            )
-        n1 = np.arange(-h, h + 1)
-        n2 = np.arange(-h, h + 1)
-        block = table.values[np.ix_(n2 + N2 // 2, n1 + N1 // 2)].copy()
-        block[~omega.contains(*np.meshgrid(n1, n2, indexing="xy"))] = 0.0
+    if omega is not None and omega.half:
+        raise ValueError("partial_sum_grid expects a full-domain spectral set")
+    n1, n2, block = _truncated_block(table, omega)
+    if len(n2) > n_theta or len(n1) > n_lambda:
+        raise ValueError(
+            f"target grid {n_theta} x {n_lambda} cannot hold the {len(n2)} x {len(n1)} coefficient block"
+        )
     block *= _alternating(n2)[:, None] * _alternating(n1)[None, :]
     spec = np.zeros((n_theta, n_lambda), dtype=complex)
     spec[np.ix_(n2 % n_theta, n1 % n_lambda)] = block
@@ -316,6 +311,15 @@ def basis_e(n1, n2, lam, theta):
     return np.exp(1j * (n1 * lam + n2 * theta)) + _alternating(n1) * np.exp(
         1j * (n1 * lam - n2 * theta)
     )
+
+
+def orthogonal_indices(h):
+    """The orthogonal basis members with |n1| <= h and 0 <= n2 <= h.
+
+    Every (n1, n2) with n2 > 0 or n1 even, ordered by n1 and then n2; the
+    (odd n1, 0) members are left out, see :func:`basis_e`.
+    """
+    return [(n1, n2) for n1 in range(-h, h + 1) for n2 in range(h + 1) if n2 > 0 or n1 % 2 == 0]
 
 
 def basis_b(n1, n2, points):
@@ -371,33 +375,33 @@ def gram_matrix(functions, n_quad=512):
     return w * (A @ A.conj().T)
 
 
+def basis_gram(indices, n_quad=512):
+    """Gram matrix of the push-down basis members b_n, n in ``indices``.
+
+    The quadrature of :func:`gram_matrix` without the sphere map: as
+    e_n(lambda, theta) = exp(i n1 lambda) e_n(0, theta), the sum over the
+    n_quad^2 nodes is the Hadamard product of two Grams over 1-D nodes.
+    """
+    lam, theta, w = quadrature_rule(n_quad)
+    e_lam = np.exp(1j * np.outer([n1 for n1, _ in indices], lam))
+    e_theta = np.array([basis_e(n1, n2, 0.0, theta) for n1, n2 in indices])
+    return w * (e_lam @ e_lam.conj().T) * (e_theta @ e_theta.conj().T)
+
+
 def dfs_fourier_sum(table, omega, points):
     """Partial sum of the folded series at sphere points.
 
     sum over n in omega (a half-domain set) of c_n b_n(xi), with coefficients
-    read from a full coefficient table. By the coefficient symmetry of BMC
-    grids this equals the torus partial sum over the symmetrized set evaluated
-    at the inverse coordinates.
+    read from a full coefficient table. As e_n pairs exp(i <n, x>) with
+    (-1)^{n1} exp(i <M(n), x>), this is the torus partial sum of the block with
+    c_(n1, j) in rows j and -j (times (-1)^{n1}), evaluated by the separable
+    kernel at the inverse coordinates.
     """
     if not omega.half:
         raise ValueError("dfs_fourier_sum expects a half-domain spectral set")
-    _require_within_table(table, omega)
-    n1, n2 = omega.members()
-    coeffs = table.coeff(n1, n2)
-    lam, theta = dfs_coord_inverse(points)
-    out = np.zeros(np.broadcast(lam, theta).shape, dtype=complex)
-    flat_l = np.broadcast_to(lam, out.shape).ravel()
-    flat_t = np.broadcast_to(theta, out.shape).ravel()
-    flat = out.ravel()
-    sgn = _alternating(n1)
-    pos = n2 > 0
-    step = max(1, _CHUNK // max(1, len(n1)))
-    for s in range(0, flat.size, step):
-        sl = slice(s, s + step)
-        phase = np.exp(1j * (np.outer(flat_l[sl], n1) + np.outer(flat_t[sl], n2)))
-        mirror = np.exp(1j * (np.outer(flat_l[sl], n1) - np.outer(flat_t[sl], n2)))
-        flat[sl] = phase @ coeffs + (mirror[:, pos] * sgn[pos]) @ coeffs[pos]
-    return out if out.shape else complex(flat[0])
+    n1, n2, block = _truncated_block(table, omega)
+    block[: omega.degree] = _alternating(n1) * block[: omega.degree : -1]
+    return _separable_sum(n1, n2, block, *dfs_coord_inverse(points))
 
 
 def fold_coefficients(table, tol=1e-8):

@@ -19,6 +19,7 @@ Every criterion must pass at its tolerance and within its runtime budget.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from dfsphere.spectral import (
     compute_coefficients,
     dfs_fourier_sum,
     gram_matrix,
+    orthogonal_indices,
     partial_sum_torus,
 )
 from dfsphere.testfns import (
@@ -89,10 +91,10 @@ def test_c01_bmc_coefficient_symmetry():
 def test_c02_basis_orthogonality_gram():
     start = time.perf_counter()
     # the orthogonal basis within |n1| <= 4, 0 <= n2 <= 4: every member except
-    # the glide-antisymmetric (odd n1, 0) ones, as in `dfs verify orthogonality`
-    indices = [(a, b) for a in range(-4, 5) for b in range(0, 5) if b > 0 or a % 2 == 0]
-    funcs = [(lambda a=a, b=b: (lambda p: basis_b(a, b, p)))() for a, b in indices]
-    G = gram_matrix(funcs, n_quad=512)
+    # the glide-antisymmetric (odd n1, 0) ones. Sampled through the sphere map,
+    # independently of the separable basis_gram behind `dfs verify orthogonality`
+    indices = orthogonal_indices(4)
+    G = gram_matrix([partial(basis_b, a, b) for a, b in indices], n_quad=512)
     diag = np.real(np.diag(G))
     expected = np.array([2 * np.pi**2 if b == 0 else 4 * np.pi**2 for a, b in indices])
     diag_err = float(np.max(np.abs(diag - expected)))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import dfsphere
 from dfsphere.analysis import (
     ErrorTableRow,
     adaptive_quadrature,
@@ -56,6 +60,14 @@ class TestZetaTailSum:
     def test_rejects_divergent(self):
         with pytest.raises(ValueError, match="diverges"):
             zeta_tail_sum(1, 1.0, 10)
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        # zeta_tail_sum imports scipy.special itself; `import dfsphere` must not
+        src = os.path.dirname(os.path.dirname(dfsphere.__file__))
+        code = "import sys, dfsphere; print('scipy.special' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestFitRate:

@@ -107,6 +107,25 @@ class TestAnalyze:
         co = sh_analyze(sample_sphere(f, 64, 32), h=12)
         assert co.conjugate_symmetry_violation() < 1e-10
 
+    def test_conjugate_symmetry_matches_triangle_loop(self):
+        # reference: the loop over n and 0 <= k <= n; the vectorized form must
+        # give the same float, bit for bit
+        rng = np.random.default_rng(7)
+        h = 9
+        values = rng.normal(size=(h + 1, 2 * h + 1)) + 1j * rng.normal(size=(h + 1, 2 * h + 1))
+        co = SHCoefficients(degree=h, values=values)
+        worst = 0.0
+        for n in range(h + 1):
+            for k in range(n + 1):
+                worst = max(worst, abs(co.coeff(n, -k) - (-1.0) ** k * np.conj(co.coeff(n, k))))
+        assert co.conjugate_symmetry_violation() == worst
+
+    def test_conjugate_symmetry_nan_propagates(self):
+        f = spherical_function(preset("f3-combo"))
+        co = sh_analyze(sample_sphere(f, 32, 16), h=6)
+        co.values[4, 6 + 2] = np.nan
+        assert np.isnan(co.conjugate_symmetry_violation())
+
 
 class TestEvaluate:
     def sphere_points(self, n=300, seed=6):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from dfsphere.spectral import (
     SpectralSet,
     basis_b,
     basis_e,
+    basis_gram,
     coeff_io_read,
     coeff_io_write,
     compute_coefficients,
     dfs_fourier_sum,
     fold_coefficients,
     gram_matrix,
+    orthogonal_indices,
     partial_sum_grid,
     partial_sum_torus,
     unfold_coefficients,
@@ -167,6 +171,48 @@ class TestPartialSums:
         )
         assert np.max(np.abs(grid.values - direct)) < 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 12), st.integers(2, 12), st.sampled_from(["rectangle", "l1", "l2", None]),
+        st.integers(0, 10), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1),
+    )
+    def test_direct_path_matches_grid_path_on_random_tables(
+        self, half2, half1, kind, degree, pad2, pad1, seed
+    ):
+        # random even table and target sizes; the target is the smallest even
+        # grid that holds the block, widened by the pads
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(2 * half2, 2 * half1)) + 1j * rng.normal(size=(2 * half2, 2 * half1))
+        table = CoefficientTable(vals / np.sum(np.abs(vals)))
+        if kind is None:
+            omega, (n_theta, n_lambda) = None, vals.shape
+        else:
+            shape, norm = ("rectangle", "l2") if kind == "rectangle" else ("ball", kind)
+            omega = SpectralSet(shape, min(degree, table.max_degree), norm)
+            n_theta = n_lambda = 2 * omega.degree + 2
+        grid = partial_sum_grid(table, omega, n_theta + 2 * pad2, n_lambda + 2 * pad1)
+        direct = partial_sum_torus(table, omega, grid.lambdas[None, :], grid.thetas[:, None])
+        assert np.max(np.abs(grid.values - direct)) <= 1e-13
+
+    def test_whole_table_and_scalar_match_termwise_sum(self):
+        # oracle: the series summed term by term over every stored index
+        rng = np.random.default_rng(32)
+        table = CoefficientTable(rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)))
+        lam = rng.uniform(-np.pi, np.pi, 20)
+        th = rng.uniform(-np.pi, np.pi, 20)
+        oracle = sum(
+            table.coeff(a, b) * np.exp(1j * (a * lam + b * th))
+            for a in table.n1_values for b in table.n2_values
+        )
+        assert_allclose(partial_sum_torus(table, None, lam, th), oracle, rtol=0, atol=1e-13)
+        omega = SpectralSet("ball", 2, "l1")
+        value = partial_sum_torus(table, omega, lam[0], th[0])
+        assert type(value) is complex
+        assert value == partial_sum_torus(table, omega, lam[:1], th[:1])[0]
+        point = dfs_coord(lam[0], abs(th[0]))
+        value = dfs_fourier_sum(table, SpectralSet("rectangle", 2, half=True), point)
+        assert type(value) is complex
+
     def test_rejects_omega_beyond_table(self):
         table = cos_theta_table(16)
         with pytest.raises(ValueError, match="exceeds"):
@@ -257,7 +303,7 @@ class TestWeightedInnerProduct:
         whose Fourier expansion lives on those modes). All other pairs vanish.
         """
         indices = [(a, b) for a in range(-4, 5) for b in range(0, 5)]
-        G = gram_matrix([b_func(*nm) for nm in indices], n_quad=512)
+        G = basis_gram(indices, n_quad=512)
         expected_diag = np.array(
             [2 * np.pi**2 if b == 0 else 4 * np.pi**2 for a, b in indices]
         )
@@ -283,26 +329,30 @@ class TestWeightedInnerProduct:
 
     def test_orthogonal_family_gram_is_diagonal(self):
         # restricted to the true orthogonal family the Gram is diagonal
-        indices = [
-            (a, b)
-            for a in range(-4, 5)
-            for b in range(0, 5)
-            if not (b == 0 and a % 2 != 0)
-        ]
-        G = gram_matrix([b_func(*nm) for nm in indices], n_quad=512)
+        G = basis_gram(orthogonal_indices(4), n_quad=512)
         off = np.abs(G - np.diag(np.diag(G)))
         assert np.max(off) < 1e-10
+
+    def test_basis_gram_matches_sampled_gram(self):
+        # the separable Gram against the sphere-map quadrature, on the 45
+        # members of the 9 x 5 block and on the 41 orthogonal ones among them
+        block = [(a, b) for a in range(-4, 5) for b in range(0, 5)]
+        sampled = gram_matrix([partial(basis_b, a, b) for a, b in block], n_quad=512)
+        assert np.max(np.abs(basis_gram(block) - sampled)) <= 1e-12
+        family = orthogonal_indices(4)
+        rows = [block.index(nm) for nm in family]
+        assert len(family) == 41
+        assert np.max(np.abs(basis_gram(family) - sampled[np.ix_(rows, rows)])) <= 1e-12
 
     def test_fifty_random_pairs_orthogonal(self):
         # wider index range than the block test; orthogonal-family members only
         rng = np.random.default_rng(99)
+        family = set(orthogonal_indices(8))
         pairs = []
         while len(pairs) < 50:
             n = (int(rng.integers(-8, 9)), int(rng.integers(0, 7)))
             m = (int(rng.integers(-8, 9)), int(rng.integers(0, 7)))
-            if n == m:
-                continue
-            if (n[1] == 0 and n[0] % 2) or (m[1] == 0 and m[0] % 2):
+            if n == m or n not in family or m not in family:
                 continue
             pairs.append((n, m))
         for n, m in pairs:
@@ -337,6 +387,17 @@ class TestDfsFourierSum:
             s_sphere = dfs_fourier_sum(table, omega, p)
             s_torus = partial_sum_torus(table, omega.symmetrized(), lam, th)
             assert np.max(np.abs(s_sphere - s_torus)) < 1e-10
+
+    def test_matches_member_by_member_basis_sum(self):
+        # oracle: sum of c_n b_n(xi) over the members, one basis function at a time
+        table = compute_coefficients(dfs_double(sample_sphere(combo(), 64, 32)))
+        rng = np.random.default_rng(53)
+        p = rng.normal(size=(300, 3))
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        for shape, norm in [("rectangle", "l2"), ("ball", "l1"), ("ball", "l2")]:
+            omega = SpectralSet(shape, 9, norm, half=True)
+            oracle = sum(table.coeff(a, b) * basis_b(a, b, p) for a, b in zip(*omega.members()))
+            assert np.max(np.abs(dfs_fourier_sum(table, omega, p) - oracle)) <= 1e-12
 
     def test_rejects_full_domain_set(self):
         table = cos_theta_table(16)
