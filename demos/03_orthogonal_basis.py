@@ -49,7 +49,7 @@ family = orthogonal_indices(4)
 G = gram_matrix([b(*nm) for nm in family], n_quad=512)
 off = np.abs(G - np.diag(np.diag(G))).max()
 print(f"\nGram of the {len(family)} orthogonal members: max off-diagonal {off:.2e}")
-G_sep = basis_gram(family, n_quad=512)
+G_sep = basis_gram(family)
 print(f"separable basis_gram, same quadrature: max |difference| {np.abs(G_sep - G).max():.2e}")
 
 f = spherical_function(standard_combination())

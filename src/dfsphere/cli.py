@@ -189,7 +189,7 @@ def _verify_bmc_symmetry(args, report):
 
 def _verify_orthogonality(args, report):
     indices = spectral.orthogonal_indices(4)
-    G = spectral.basis_gram(indices, n_quad=512)
+    G = spectral.basis_gram(indices)
     off = np.abs(G - np.diag(np.diag(G)))
     diag = np.real(np.diag(G))
     expected = np.array([2 * np.pi**2 if b == 0 else 4 * np.pi**2 for a, b in indices])

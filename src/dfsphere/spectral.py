@@ -89,8 +89,7 @@ class CoefficientTable:
 
     def coeff(self, n1, n2):
         """Coefficient c_(n1, n2); indices may be arrays."""
-        n1 = np.asarray(n1)
-        n2 = np.asarray(n2)
+        n1, n2 = np.asarray(n1), np.asarray(n2)
         N2, N1 = self.values.shape
         if np.any(n1 < -(N1 // 2)) or np.any(n1 >= N1 // 2) or np.any(n2 < -(N2 // 2)) or np.any(n2 >= N2 // 2):
             raise ValueError("spectral index outside the table range")
@@ -170,8 +169,7 @@ class SpectralSet:
             raise ValueError("degree must be non-negative")
 
     def contains(self, n1, n2):
-        n1 = np.asarray(n1, dtype=np.int64)
-        n2 = np.asarray(n2, dtype=np.int64)
+        n1, n2 = np.asarray(n1, dtype=np.int64), np.asarray(n2, dtype=np.int64)
         if self.shape == "rectangle":
             inside = (np.abs(n1) <= self.degree) & (np.abs(n2) <= self.degree)
         elif self.norm == "l1":
@@ -242,14 +240,17 @@ def _separable_sum(n1, n2, block, lam, theta):
 
     Each term factors as exp(i n1 lam) exp(i n2 theta), so the sum is
     sum_k (E_theta @ block)[p, k] E_lam[p, k] over two tables of 1-D phases.
+    Points go in slices of at most 2^21 table entries, below about 70 MiB.
     """
-    lam = np.asarray(lam, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     shape = np.broadcast(lam, theta).shape
-    e_lam = np.exp(1j * np.outer(np.broadcast_to(lam, shape), n1))
-    e_theta = np.exp(1j * np.outer(np.broadcast_to(theta, shape), n2))
-    out = np.einsum("pk,pk->p", e_theta @ block, e_lam).reshape(shape)
-    return out if shape else complex(out)
+    lam, theta = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in (lam, theta))
+    out = np.empty(lam.size, dtype=complex)
+    step = max(1, 2**21 // (len(n1) + len(n2)))
+    for s in range(0, lam.size, step):
+        e_lam = np.exp(1j * np.outer(lam[s : s + step], n1))
+        e_theta = np.exp(1j * np.outer(theta[s : s + step], n2))
+        out[s : s + step] = np.einsum("pk,pk->p", e_theta @ block, e_lam)
+    return out.reshape(shape) if shape else complex(out[0])
 
 
 def partial_sum_torus(table, omega, lam, theta):
@@ -375,14 +376,14 @@ def gram_matrix(functions, n_quad=512):
     return w * (A @ A.conj().T)
 
 
-def basis_gram(indices, n_quad=512):
+def basis_gram(indices):
     """Gram matrix of the push-down basis members b_n, n in ``indices``.
 
-    The quadrature of :func:`gram_matrix` without the sphere map: as
-    e_n(lambda, theta) = exp(i n1 lambda) e_n(0, theta), the sum over the
-    n_quad^2 nodes is the Hadamard product of two Grams over 1-D nodes.
+    The quadrature of :func:`gram_matrix` at its default 512^2 nodes without
+    the sphere map: as e_n(lambda, theta) = exp(i n1 lambda) e_n(0, theta),
+    that sum is the Hadamard product of two Grams over 1-D nodes.
     """
-    lam, theta, w = quadrature_rule(n_quad)
+    lam, theta, w = quadrature_rule(512)
     e_lam = np.exp(1j * np.outer([n1 for n1, _ in indices], lam))
     e_theta = np.array([basis_e(n1, n2, 0.0, theta) for n1, n2 in indices])
     return w * (e_lam @ e_lam.conj().T) * (e_theta @ e_theta.conj().T)

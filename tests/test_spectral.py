@@ -1,4 +1,5 @@
 from functools import partial
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,22 @@ class TestPartialSums:
         value = dfs_fourier_sum(table, SpectralSet("rectangle", 2, half=True), point)
         assert type(value) is complex
 
+    def test_many_points_match_grid_path_in_bounded_memory(self):
+        # 480^2 points at degree 8 span four slices of the direct path; whole,
+        # its three 230400 x 17 complex tables alone would take 188 MB
+        rng = np.random.default_rng(48)
+        table = CoefficientTable(rng.normal(size=(18, 18)) + 1j * rng.normal(size=(18, 18)))
+        omega = SpectralSet("rectangle", 8)
+        grid = partial_sum_grid(table, omega, 480, 480)
+        tracemalloc.start()
+        try:
+            direct = partial_sum_torus(table, omega, grid.lambdas[None, :], grid.thetas[:, None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(grid.values - direct)) <= 1e-12
+        assert peak <= 96 * 2**20
+
     def test_rejects_omega_beyond_table(self):
         table = cos_theta_table(16)
         with pytest.raises(ValueError, match="exceeds"):
@@ -303,7 +320,7 @@ class TestWeightedInnerProduct:
         whose Fourier expansion lives on those modes). All other pairs vanish.
         """
         indices = [(a, b) for a in range(-4, 5) for b in range(0, 5)]
-        G = basis_gram(indices, n_quad=512)
+        G = basis_gram(indices)
         expected_diag = np.array(
             [2 * np.pi**2 if b == 0 else 4 * np.pi**2 for a, b in indices]
         )
@@ -329,7 +346,7 @@ class TestWeightedInnerProduct:
 
     def test_orthogonal_family_gram_is_diagonal(self):
         # restricted to the true orthogonal family the Gram is diagonal
-        G = basis_gram(orthogonal_indices(4), n_quad=512)
+        G = basis_gram(orthogonal_indices(4))
         off = np.abs(G - np.diag(np.diag(G)))
         assert np.max(off) < 1e-10
 
