@@ -162,10 +162,9 @@ def error_table(
         sh_error = None
         if sh_coefficients is not None:
             if not rows:  # one pass serves every degree; timed within the first row
-                from .sh_reference import sh_partial_sums
+                from .sh_reference import sh_synthesize
 
-                L, T = np.meshgrid(t.reference.lambdas, t.reference.thetas)
-                sh_sums = sh_partial_sums(sh_coefficients, dfs_coord(L, T), degrees)
+                sh_sums = sh_synthesize(sh_coefficients, t.reference.lambdas, t.reference.thetas[:, None], degrees)
             sh_error = float(np.max(np.abs(sh_sums[len(rows)] - t.reference.values)))
         rows.append(ErrorTableRow(
             degree=t.omega.degree,
@@ -222,6 +221,8 @@ def decay_report(table, k, alpha, r_min=1, r_max=None, cap=None):
     even shells carry only the z-even part of f and odd shells only the
     z-odd part, so the shell maxima are two interleaved sequences.
     """
+    if not np.all(np.isfinite(table.values)):
+        raise ValueError("coefficient table holds non-finite values")
     n1 = table.n1_values
     n2 = table.n2_values
     radius = np.abs(n1)[None, :] + np.abs(n2)[:, None]
@@ -245,13 +246,9 @@ def decay_report(table, k, alpha, r_min=1, r_max=None, cap=None):
         slope = float("-inf")
     diffs = rescaled[2:] - rescaled[:-2]
     frac = float(np.mean(diffs <= 0.0)) if diffs.size else 1.0
-    # all-pairs: count pairs i < j with rescaled[j] <= rescaled[i]
-    pairs = 0
-    noninc = 0
-    for i in range(len(rescaled) - 1):
-        pairs += len(rescaled) - 1 - i
-        noninc += int(np.count_nonzero(rescaled[i + 1:] <= rescaled[i]))
-    mk = float(noninc / pairs) if pairs else 1.0
+    # all pairs i < j with rescaled[j] <= rescaled[i]
+    i, j = np.triu_indices(len(rescaled), 1)
+    mk = float(np.mean(rescaled[j] <= rescaled[i])) if i.size else 1.0
     flagged = [] if cap is None else [int(r) for r, v in zip(radii, rescaled) if v > cap]
     return DecayReport(
         radii=radii,

@@ -123,7 +123,8 @@ def sample_sphere(f, n_lambda, n_theta_half):
         Number of colatitude panels on [0, pi]; the grid has n_theta_half + 1 rows.
 
     The pole rows are evaluated once each and broadcast, so they are exactly
-    constant regardless of the behaviour of ``f`` near the poles.
+    constant regardless of the behaviour of ``f`` near the poles. A non-finite
+    sample raises ValueError.
     """
     if n_lambda < 2 or n_lambda % 2:
         raise ValueError(f"n_lambda must be even and >= 2, got {n_lambda}")
@@ -137,6 +138,8 @@ def sample_sphere(f, n_lambda, n_theta_half):
         vals[1:-1] = f(dfs_coord(L, T))
     vals[0, :] = complex(np.asarray(f(np.array([0.0, 0.0, 1.0])), dtype=complex))
     vals[-1, :] = complex(np.asarray(f(np.array([0.0, 0.0, -1.0])), dtype=complex))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sampled function returned non-finite values")
     return LatLonGrid(vals)
 
 
@@ -193,4 +196,6 @@ def grid_io_read(path):
             f"truncated or oversized grid payload: expected {expected} bytes, got {len(payload)}"
         )
     values = np.frombuffer(payload, dtype="<c16").reshape(n_theta, n_lambda)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid payload holds non-finite values")
     return TorusGrid(values.astype(complex), bmc=bool(bmc_flag))

@@ -1,4 +1,4 @@
-"""Slow, correctness-first spherical harmonics expansion.
+"""Correctness-first spherical harmonics expansion.
 
 Used as the comparison baseline for the torus-side Fourier approximation.
 Harmonics are orthonormal on the sphere (geodesy normalization, Condon-Shortley
@@ -9,12 +9,15 @@ with
 
 Analysis uses an FFT in longitude and Clenshaw-Curtis quadrature in colatitude;
 the equispaced-in-theta rows of a lat-lon grid are exactly the Chebyshev
-(cosine-spaced) nodes in t = cos(theta). Evaluation is the naive double sum.
+(cosine-spaced) nodes in t = cos(theta). Analysis and synthesis
+(:func:`sh_synthesize`) each build one Legendre table per order |k|.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import dfs_coord_inverse
 
 __all__ = [
     "SHCoefficients",
@@ -24,6 +27,7 @@ __all__ = [
     "sh_analyze",
     "sh_evaluate",
     "sh_partial_sums",
+    "sh_synthesize",
 ]
 
 
@@ -60,6 +64,15 @@ def legendre_table(h, k, t):
     return out
 
 
+def _order_tables(h, t):
+    """(k, P) and (-k, (-1)^k P) for k = 0 .. h, P = legendre_table(h, k, t): one recurrence per |k|."""
+    for k in range(h + 1):
+        P = legendre_table(h, k, t)
+        yield k, P
+        if k:
+            yield -k, (-1.0) ** k * P
+
+
 def assoc_legendre(n, k, t):
     """Normalized associated Legendre value Pbar_n^k(t).
 
@@ -67,8 +80,6 @@ def assoc_legendre(n, k, t):
     delta_nm, i.e. Y_n^k = Pbar_n^k(cos theta) e^{i k lambda} is orthonormal
     on the sphere.
     """
-    if k > n:
-        raise ValueError("order k must not exceed degree n")
     return legendre_table(n, k, t)[-1]
 
 
@@ -134,60 +145,44 @@ def sh_analyze(grid, h):
             f"grid {nlam} x {nth + 1} under-resolves degree {h}; need >= {2 * h + 2} in both directions"
         )
     w = clenshaw_curtis_weights(nth)
-    t = np.cos(grid.thetas)
     # ghat[:, k] = (2 pi / nlam) * sum_l g[:, l] e^{-i k lambda_l}; the grid
     # starts at lambda = -pi, hence the (-1)^k factor relative to the raw FFT.
     ghat = np.fft.fft(grid.values, axis=1) * (2.0 * np.pi / nlam)
     values = np.zeros((h + 1, 2 * h + 1), dtype=complex)
-    for k in range(-h, h + 1):
-        col = ghat[:, k % nlam] * (-1.0) ** (abs(k) % 2)
-        P = legendre_table(h, abs(k), t)
-        if k < 0:
-            P = P * (-1.0) ** (abs(k) % 2)
-        proj = P @ (w * col)
-        for i, n in enumerate(range(abs(k), h + 1)):
-            values[n, k + h] = proj[i]
+    for k, P in _order_tables(h, np.cos(grid.thetas)):
+        values[abs(k):, k + h] = P @ (w * ghat[:, k % nlam] * (-1.0) ** (k % 2))
     return SHCoefficients(degree=h, values=values)
 
 
 def sh_evaluate(coeffs, points, degree=None):
-    """Naive double-sum evaluation of the expansion at sphere points.
-
-    Deliberately O(degree^2) work per point; ``degree`` truncates below the
-    stored bound.
-    """
+    """The expansion at sphere points, truncated at ``degree`` (default: the stored bound)."""
     return sh_partial_sums(coeffs, points, [coeffs.degree if degree is None else degree])[-1]
 
 
 def sh_partial_sums(coeffs, points, degrees):
-    """Evaluations truncated at each requested degree (ascending), sharing work.
+    """Truncations at each requested degree (ascending) at sphere points, shape (..., 3).
 
-    Returns a list of arrays, one per entry of ``degrees``.
+    Returns one array per entry of ``degrees``, stacked along the first axis.
     """
-    degrees = list(degrees)
-    if degrees != sorted(degrees) or degrees[-1] > coeffs.degree:
-        raise ValueError("degrees must ascend and stay within the stored bound")
-    p = np.asarray(points, dtype=float)
-    z = np.clip(p[..., 2], -1.0, 1.0)
-    lam = np.arctan2(p[..., 1], p[..., 0])
-    h = degrees[-1]
-    # one recurrence per order; per-degree shells so truncations share work
-    shells = np.zeros((h + 1,) + p.shape[:-1], dtype=complex)
-    for k in range(-h, h + 1):
-        P = legendre_table(h, abs(k), z)
-        if k < 0:
-            P = P * (-1.0) ** (abs(k) % 2)
-        phase = np.exp(1j * k * lam)
-        for i, n in enumerate(range(abs(k), h + 1)):
-            c = coeffs.coeff(n, k)
-            if c != 0:
-                shells[n] += c * P[i] * phase
-    snapshots = []
-    acc = np.zeros(p.shape[:-1], dtype=complex)
-    cut = 0
-    for n in range(0, h + 1):
-        acc += shells[n]
-        while cut < len(degrees) and degrees[cut] == n:
-            snapshots.append(acc.copy())
-            cut += 1
-    return snapshots
+    return sh_synthesize(coeffs, *dfs_coord_inverse(points), degrees)
+
+
+def sh_synthesize(coeffs, lam, theta, degrees):
+    """Truncations at each requested degree (ascending) at longitudes and colatitudes.
+
+    ``lam`` and ``theta`` broadcast against each other: a row of longitudes and
+    a column of colatitudes give a grid, with Legendre tables over the
+    colatitudes only. Returns shape (len(degrees),) + the broadcast shape.
+    """
+    degrees = np.asarray(degrees)
+    if not (degrees.ndim == 1 and degrees.size and 0 <= degrees[0] and degrees[-1] <= coeffs.degree
+            and np.all(np.diff(degrees) >= 0)):
+        raise ValueError(f"degrees must be a non-empty ascending list within 0 .. {coeffs.degree}")
+    lam = np.asarray(lam, dtype=float)
+    h = int(degrees[-1])
+    keep = np.arange(h + 1) <= degrees[:, None]
+    out = np.zeros((len(degrees),) + np.broadcast(lam, theta).shape, dtype=complex)
+    for k, P in _order_tables(h, np.array(np.cos(theta), ndmin=out.ndim - 1)):
+        c = keep[:, abs(k):] * coeffs.values[abs(k):h + 1, k + coeffs.degree]
+        out += np.tensordot(c, P, 1) * np.exp(1j * k * lam)
+    return out

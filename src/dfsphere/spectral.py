@@ -480,5 +480,7 @@ def coeff_io_read(path):
             f"got {len(payload)}"
         )
     values = np.frombuffer(payload, dtype="<c16").reshape(N2, N1)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("coefficient payload holds non-finite values")
     norm = "integral" if tag == 0 else "unknown"
     return CoefficientTable(values.astype(complex), normalization=norm)

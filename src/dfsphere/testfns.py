@@ -58,7 +58,8 @@ class TestFunctionSpec:
         self.rotation = np.asarray(self.rotation, dtype=float)
         if self.rotation.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
-        if not np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3))) <= 1e-12:
+        R = self.rotation
+        if not (np.all(np.isfinite(R)) and np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-12):
             raise ValueError("rotation matrix must be finite and orthogonal within 1e-12")
         if not np.isfinite(self.weight):
             raise ValueError(f"weight must be finite, got {self.weight}")

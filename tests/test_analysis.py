@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dfsphere.analysis import (
     zeta_tail_sum,
 )
 from dfsphere.grids import dfs_double, sample_sphere
-from dfsphere.spectral import compute_coefficients
+from dfsphere.spectral import CoefficientTable, compute_coefficients
 from dfsphere.testfns import preset, spherical_function, standard_combination
 
 
@@ -125,6 +126,23 @@ class TestErrorTable:
         assert elapsed[-1] >= 0.9 * wall
 
 
+    def test_sh_column_memory_bounded(self):
+        # the spherical-harmonics column on the default 512 x 257 reference;
+        # its Legendre tables span the 257 colatitudes, not every grid point
+        from dfsphere.sh_reference import sh_analyze
+
+        f = combo()
+        sh = sh_analyze(sample_sphere(f, 128, 64), 24)
+        tracemalloc.start()
+        try:
+            rows = error_table(f, [8, 16, 24], sh_coefficients=sh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(0.1 <= r.max_error / r.sh_max_error <= 10.0 for r in rows)
+        assert peak < 48 * 2**20
+
+
 class TestDecayReport:
     def test_cos_theta_shells_vanish(self):
         f = lambda p: np.asarray(p)[..., 2]
@@ -163,6 +181,34 @@ class TestDecayReport:
         table = coefficient_table_for(combo(), 32, grid_size=256)
         rep = decay_report(table, k=3, alpha=0.9, r_min=2, r_max=32, cap=1e-30)
         assert len(rep.flagged) > 0
+
+    def test_mann_kendall_matches_pair_loop(self):
+        # oracle: the all-pairs loop, counting pairs i < j with
+        # rescaled[j] <= rescaled[i]; the fraction must agree bit for bit
+        rng = np.random.default_rng(5)
+        tables = [
+            coefficient_table_for(combo(), 32, grid_size=128),
+            CoefficientTable(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))),
+            CoefficientTable(rng.integers(0, 3, size=(64, 64)).astype(complex)),  # ties
+        ]
+        for table in tables:
+            rep = decay_report(table, k=3, alpha=0.9, r_min=1, r_max=31)
+            pairs = noninc = 0
+            for i in range(len(rep.rescaled) - 1):
+                pairs += len(rep.rescaled) - 1 - i
+                noninc += int(np.count_nonzero(rep.rescaled[i + 1:] <= rep.rescaled[i]))
+            assert rep.mann_kendall_frac == noninc / pairs
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_table(self, bad):
+        table = coefficient_table_for(combo(), 16, grid_size=64)
+        table.values[:] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            decay_report(table, 3, 0.9, r_min=1, r_max=16)
+        table = coefficient_table_for(combo(), 16, grid_size=64)
+        table.values[40, 30] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            decay_report(table, 3, 0.9, r_min=1, r_max=16)
 
     def test_incomplete_shells_rejected(self):
         table = coefficient_table_for(combo(), 16, grid_size=64)

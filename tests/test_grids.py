@@ -60,6 +60,12 @@ class TestSampleSphere:
         with pytest.raises(ValueError, match="even"):
             sample_sphere(coord_z, 7, 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        f = lambda x: np.where(x[..., 2] > 0.9, bad, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_sphere(f, 16, 8)
+
     def test_propagates_evaluation_failure(self):
         def bad(points):
             raise RuntimeError("boom")
@@ -150,6 +156,15 @@ class TestGridIO:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            grid_io_read(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_payload(self, tmp_path, bad):
+        vals = np.ones((8, 8), dtype=complex)
+        vals[3, 5] = bad
+        path = tmp_path / "n.dfsg"
+        grid_io_write(TorusGrid(vals), path)
+        with pytest.raises(ValueError, match="non-finite"):
             grid_io_read(path)
 
     def test_large_round_trip_under_a_second(self, tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
-from dfsphere.geometry import dfs_coord
+from dfsphere.geometry import dfs_coord, dfs_coord_inverse
 from dfsphere.grids import sample_sphere
 from dfsphere.sh_reference import (
     SHCoefficients,
@@ -13,6 +15,7 @@ from dfsphere.sh_reference import (
     sh_analyze,
     sh_evaluate,
     sh_partial_sums,
+    sh_synthesize,
 )
 from dfsphere.testfns import preset, spherical_function
 
@@ -30,6 +33,33 @@ def synth_harmonic(n, k):
         return P * np.exp(1j * k * lam)
 
     return f
+
+
+def shell_partial_sums(coeffs, points, degrees):
+    """Oracle: the series added coefficient by coefficient into per-degree shells."""
+    p = np.asarray(points, dtype=float)
+    z = np.clip(p[..., 2], -1.0, 1.0)
+    lam = np.arctan2(p[..., 1], p[..., 0])
+    h = degrees[-1]
+    shells = np.zeros((h + 1,) + p.shape[:-1], dtype=complex)
+    for k in range(-h, h + 1):
+        P = legendre_table(h, abs(k), z)
+        if k < 0:
+            P = P * (-1.0) ** (abs(k) % 2)
+        phase = np.exp(1j * k * lam)
+        for i, n in enumerate(range(abs(k), h + 1)):
+            shells[n] += coeffs.coeff(n, k) * P[i] * phase
+    return np.cumsum(shells, axis=0)[degrees]
+
+
+def random_triangle(h, seed):
+    """Random coefficients on the triangle |k| <= n <= h, scaled to unit l1 norm."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(h + 1, 2 * h + 1)) + 1j * rng.normal(size=(h + 1, 2 * h + 1))
+    n = np.arange(h + 1)[:, None]
+    k = np.arange(-h, h + 1)[None, :]
+    values[np.abs(k) > n] = 0.0
+    return SHCoefficients(degree=h, values=values / np.sum(np.abs(values)))
 
 
 class TestAssocLegendre:
@@ -188,6 +218,44 @@ class TestEvaluate:
         assert_allclose(s4, sh_evaluate(co, p, degree=4), atol=1e-13)
         assert_allclose(s12, sh_evaluate(co, p), atol=1e-13)
         assert np.max(np.abs(s8 - s4)) > 0
+
+    def test_synthesis_matches_shell_oracle(self):
+        p = self.sphere_points(200, seed=11)
+        degrees = [0, 3, 7, 7, 12]
+        for seed in range(3):
+            co = random_triangle(12, seed)
+            oracle = shell_partial_sums(co, p, degrees)
+            assert np.max(np.abs(sh_synthesize(co, *dfs_coord_inverse(p), degrees) - oracle)) <= 1e-13
+            assert np.max(np.abs(sh_partial_sums(co, p, degrees) - oracle)) <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 16), st.integers(1, 16), st.lists(st.integers(0, 10), min_size=1, max_size=4),
+        st.integers(0, 2), st.integers(0, 2**32 - 1),
+    )
+    def test_grid_call_matches_points(self, half_lambda, n_theta_half, degrees, extra, seed):
+        # a row of longitudes and a column of colatitudes against the same
+        # grid given as sphere points
+        degrees = sorted(degrees)
+        co = random_triangle(degrees[-1] + extra, seed)
+        lam = -np.pi + np.pi * np.arange(2 * half_lambda) / half_lambda
+        theta = np.pi * np.arange(n_theta_half + 1) / n_theta_half
+        grid = sh_synthesize(co, lam, theta[:, None], degrees)
+        assert grid.shape == (len(degrees), n_theta_half + 1, 2 * half_lambda)
+        transposed = sh_synthesize(co, lam[:, None], theta, degrees)
+        assert np.max(np.abs(transposed - grid.transpose(0, 2, 1))) <= 1e-13
+        points = dfs_coord(*np.meshgrid(lam, theta))
+        assert np.max(np.abs(grid - sh_partial_sums(co, points, degrees))) <= 1e-13
+
+    @pytest.mark.parametrize("degrees", [[], [-1], [8, 4], [13]], ids=["empty", "negative", "descending", "above-bound"])
+    def test_rejects_bad_degree_list(self, degrees):
+        co = random_triangle(12, 0)
+        with pytest.raises(ValueError, match="ascending"):
+            sh_partial_sums(co, self.sphere_points(5), degrees)
+
+    def test_evaluate_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="ascending"):
+            sh_evaluate(random_triangle(4, 0), self.sphere_points(5), degree=-1)
 
     def test_truncation_error_comparable_to_dfs(self):
         # degree-32 truncation error of the plateau function within a factor

@@ -477,6 +477,15 @@ class TestCoeffIO:
         with pytest.raises(ValueError, match="header"):
             coeff_io_read(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
+    def test_rejects_non_finite_payload(self, tmp_path, bad):
+        table = cos_theta_table(16)
+        table.values[2, 3] = bad
+        path = tmp_path / "n.dfsc"
+        coeff_io_write(table, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            coeff_io_read(path)
+
     def test_rejects_truncation(self, tmp_path):
         table = cos_theta_table(16)
         path = tmp_path / "c.dfsc"
