@@ -26,23 +26,22 @@ from dfsphere import (
     spherical_function,
     standard_combination,
     unfold_coefficients,
-    weighted_inner_product,
 )
 
 b = lambda n1, n2: (lambda p: basis_b(n1, n2, p))
 
-print("norms (quadrature, n_quad = 512):")
+print("norms, diagonal Gram entries (quadrature, n_quad = 512):")
 for n1, n2, expect in [(0, 0, 2 * np.pi**2), (3, 0, 2 * np.pi**2), (1, 2, 4 * np.pi**2)]:
-    val = weighted_inner_product(b(n1, n2), b(n1, n2)).real
+    val = gram_matrix([b(n1, n2)])[0, 0].real
     print(f"  <b_({n1},{n2}), b_({n1},{n2})> = {val:.10f}   (expected {expect:.10f})")
 
-print("\northogonal pairs:")
+print("\northogonal pairs, off-diagonal Gram entries:")
 for (a1, a2), (c1, c2) in [((1, 2), (0, 3)), ((2, 1), (2, 3)), ((-4, 2), (4, 2))]:
-    val = weighted_inner_product(b(a1, a2), b(c1, c2))
+    val = gram_matrix([b(a1, a2), b(c1, c2)])[0, 1]
     print(f"  |<b_({a1},{a2}), b_({c1},{c2})>| = {abs(val):.2e}")
 
 print("\nthe glide-antisymmetric exception (closed form -8 pi i / n2):")
-val = weighted_inner_product(b(1, 0), b(1, 1))
+val = gram_matrix([b(1, 0), b(1, 1)])[0, 1]
 print(f"  <b_(1,0), b_(1,1)> = {val:.6f}   (exact {-8j * np.pi:.6f})")
 
 family = orthogonal_indices(4)

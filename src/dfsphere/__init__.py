@@ -33,9 +33,8 @@ from .spectral import (
     partial_sum_grid,
     partial_sum_torus,
     unfold_coefficients,
-    weighted_inner_product,
 )
-from .sh_reference import SHCoefficients, assoc_legendre, sh_analyze, sh_evaluate
+from .sh_reference import SHCoefficients, sh_analyze
 from .testfns import TestFunctionSpec, preset, spherical_function, standard_combination
 from . import analysis
 
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "analysis",
-    "assoc_legendre",
     "basis_b",
     "basis_e",
     "basis_gram",
@@ -69,7 +67,6 @@ __all__ = [
     "preset",
     "sample_sphere",
     "sh_analyze",
-    "sh_evaluate",
     "SHCoefficients",
     "SpectralSet",
     "spherical_function",
@@ -77,7 +74,6 @@ __all__ = [
     "TestFunctionSpec",
     "TorusGrid",
     "unfold_coefficients",
-    "weighted_inner_product",
     "wrap_angle",
     "__version__",
 ]

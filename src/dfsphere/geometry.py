@@ -47,13 +47,13 @@ def dfs_coord(lam, theta):
     )
 
 
-def dfs_coord_inverse(points, norm_tol=UNIT_NORM_TOL):
+def dfs_coord_inverse(points):
     """Invert the coordinate transform on its fundamental domain.
 
     Parameters
     ----------
     points : array_like, shape (..., 3)
-        Unit vectors. Norms may deviate from 1 by at most ``norm_tol``.
+        Unit vectors. Norms may deviate from 1 by at most ``UNIT_NORM_TOL``.
 
     Returns
     -------
@@ -64,13 +64,13 @@ def dfs_coord_inverse(points, norm_tol=UNIT_NORM_TOL):
     Raises
     ------
     ValueError
-        If any input norm deviates from 1 by more than ``norm_tol``.
+        If any input norm deviates from 1 by more than ``UNIT_NORM_TOL``.
     """
     p = np.asarray(points, dtype=float)
     if p.shape[-1] != 3:
         raise ValueError(f"expected points of shape (..., 3), got {p.shape}")
     norms = np.sqrt(np.sum(p * p, axis=-1))
-    bad = np.abs(norms - 1.0) > norm_tol
+    bad = np.abs(norms - 1.0) > UNIT_NORM_TOL
     if np.any(bad):
         worst = float(np.max(np.abs(norms - 1.0)))
         raise ValueError(f"input not on the unit sphere: max norm deviation {worst:.3e}")

@@ -21,11 +21,9 @@ from .geometry import dfs_coord_inverse
 
 __all__ = [
     "SHCoefficients",
-    "assoc_legendre",
     "legendre_table",
     "clenshaw_curtis_weights",
     "sh_analyze",
-    "sh_evaluate",
     "sh_partial_sums",
     "sh_synthesize",
 ]
@@ -71,16 +69,6 @@ def _order_tables(h, t):
         yield k, P
         if k:
             yield -k, (-1.0) ** k * P
-
-
-def assoc_legendre(n, k, t):
-    """Normalized associated Legendre value Pbar_n^k(t).
-
-    Normalized so that 2 pi * integral over [-1, 1] of Pbar_n^k Pbar_m^k dt =
-    delta_nm, i.e. Y_n^k = Pbar_n^k(cos theta) e^{i k lambda} is orthonormal
-    on the sphere.
-    """
-    return legendre_table(n, k, t)[-1]
 
 
 def clenshaw_curtis_weights(n):
@@ -152,11 +140,6 @@ def sh_analyze(grid, h):
     for k, P in _order_tables(h, np.cos(grid.thetas)):
         values[abs(k):, k + h] = P @ (w * ghat[:, k % nlam] * (-1.0) ** (k % 2))
     return SHCoefficients(degree=h, values=values)
-
-
-def sh_evaluate(coeffs, points, degree=None):
-    """The expansion at sphere points, truncated at ``degree`` (default: the stored bound)."""
-    return sh_partial_sums(coeffs, points, [coeffs.degree if degree is None else degree])[-1]
 
 
 def sh_partial_sums(coeffs, points, degrees):

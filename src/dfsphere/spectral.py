@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dfs_coord, dfs_coord_inverse
+from .grids import TorusGrid
 
 __all__ = [
     "CoefficientTable",
@@ -32,7 +33,6 @@ __all__ = [
     "basis_e",
     "orthogonal_indices",
     "basis_b",
-    "weighted_inner_product",
     "quadrature_rule",
     "gram_matrix",
     "basis_gram",
@@ -45,6 +45,8 @@ __all__ = [
 
 COEFF_MAGIC = b"DFSC"
 COEFF_VERSION = 1
+#: relative asymmetry above which :func:`fold_coefficients` rejects a table
+_SYMMETRY_TOL = 1e-8
 
 
 def _alternating(n):
@@ -61,8 +63,6 @@ class CoefficientTable:
     """
 
     values: np.ndarray
-    normalization: str = "integral"
-    source_bmc: bool = False
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=complex)
@@ -129,7 +129,6 @@ class FoldedCoefficientTable:
     """
 
     values: np.ndarray
-    normalization: str = "integral"
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=complex)
@@ -212,7 +211,7 @@ def compute_coefficients(grid):
     n1 = np.arange(-(N1 // 2), N1 // 2)
     n2 = np.arange(-(N2 // 2), N2 // 2)
     table *= _alternating(n2)[:, None] * _alternating(n1)[None, :]
-    return CoefficientTable(table, source_bmc=grid.bmc)
+    return CoefficientTable(table)
 
 
 def _truncated_block(table, omega):
@@ -283,8 +282,6 @@ def partial_sum_grid(table, omega, n_theta, n_lambda):
     block *= _alternating(n2)[:, None] * _alternating(n1)[None, :]
     spec = np.zeros((n_theta, n_lambda), dtype=complex)
     spec[np.ix_(n2 % n_theta, n1 % n_lambda)] = block
-    from .grids import TorusGrid
-
     return TorusGrid(np.fft.ifft2(spec) * (n_theta * n_lambda))
 
 
@@ -350,22 +347,14 @@ def quadrature_rule(n_quad):
     return lam, theta, weight
 
 
-def weighted_inner_product(f, g, n_quad=512):
-    """Inner product of spherical functions in the weighted L2 space.
-
-    Approximates the integral of f conj(g) (1 - xi3^2)^(-1/2) over the sphere,
-    which in (lambda, theta) coordinates is the unweighted integral of
-    (f o phi)(g o phi)* over [-pi, pi) x [0, pi]: the colatitude weight cancels
-    the sine of the surface measure.
-    """
-    return complex(gram_matrix([f, g], n_quad)[0, 1])
-
-
 def gram_matrix(functions, n_quad=512):
     """Gram matrix of spherical functions under the weighted inner product.
 
-    Each function is sampled once on the shared quadrature grid, so this is
-    the economical way to compute all pairwise inner products.
+    Entry (i, j) approximates the integral of f_i conj(f_j) (1 - xi3^2)^(-1/2)
+    over the sphere, which in (lambda, theta) coordinates is the unweighted
+    integral of (f_i o phi)(f_j o phi)* over [-pi, pi) x [0, pi]: the
+    colatitude weight cancels the sine of the surface measure. Each function
+    is sampled once on the shared grid of :func:`quadrature_rule`.
     """
     functions = list(functions)
     lam, theta, w = quadrature_rule(n_quad)
@@ -405,18 +394,18 @@ def dfs_fourier_sum(table, omega, points):
     return _separable_sum(n1, n2, block, *dfs_coord_inverse(points))
 
 
-def fold_coefficients(table, tol=1e-8):
+def fold_coefficients(table):
     """Project a full table onto the half domain, enforcing the symmetry exactly.
 
     Rows n2 and -n2 are averaged as (c_n + (-1)^{n1} c_{M(n)}) / 2; the n2 = 0
     row and the Nyquist row are averaged with themselves, which zeroes their
-    odd-n1 entries. Raises if the relative asymmetry exceeds ``tol`` (the
+    odd-n1 entries. Raises if the relative asymmetry exceeds ``_SYMMETRY_TOL`` (the
     source grid was not BMC) or is NaN (the table holds non-finite values).
     """
     violation = table.symmetry_violation()
-    if not violation <= tol:
+    if not violation <= _SYMMETRY_TOL:
         raise ValueError(
-            f"coefficient symmetry violated (relative asymmetry {violation:.3e} > {tol:.1e}); "
+            f"coefficient symmetry violated (relative asymmetry {violation:.3e} > {_SYMMETRY_TOL:.1e}); "
             "source grid is not block-mirror-centrosymmetric"
         )
     N2, N1 = table.values.shape
@@ -426,7 +415,7 @@ def fold_coefficients(table, tol=1e-8):
     half = np.empty((N2 // 2 + 1, N1), dtype=complex)
     half[: N2 // 2] = symmetrized[N2 // 2:]        # n2 = 0 .. N2/2 - 1
     half[N2 // 2] = symmetrized[0]                 # self-paired Nyquist row
-    return FoldedCoefficientTable(half, normalization=table.normalization)
+    return FoldedCoefficientTable(half)
 
 
 def unfold_coefficients(folded):
@@ -438,7 +427,7 @@ def unfold_coefficients(folded):
     full[N2 // 2:] = folded.values[: N2 // 2]
     full[0] = folded.values[N2 // 2]
     full[N2 // 2 - 1:0:-1] = sgn * folded.values[1:N2 // 2]
-    return CoefficientTable(full, normalization=folded.normalization, source_bmc=True)
+    return CoefficientTable(full)
 
 
 def coeff_io_write(table, path):
@@ -446,14 +435,13 @@ def coeff_io_write(table, path):
 
     Layout: magic ``DFSC``, version u32 LE, the half-open index ranges as four
     signed 64-bit ints (n1 start/stop, n2 start/stop), normalization tag u8
-    (0 = integral convention), then row-major complex values (rows ordered by
-    ascending n2) as little-endian float64 pairs.
+    (always 0, the integral convention of this module), then row-major complex
+    values (rows ordered by ascending n2) as little-endian float64 pairs.
     """
     n1 = table.n1_values
     n2 = table.n2_values
-    tag = 0 if table.normalization == "integral" else 255
     header = COEFF_MAGIC + struct.pack(
-        "<IqqqqB", COEFF_VERSION, int(n1[0]), int(n1[-1]) + 1, int(n2[0]), int(n2[-1]) + 1, tag
+        "<IqqqqB", COEFF_VERSION, int(n1[0]), int(n1[-1]) + 1, int(n2[0]), int(n2[-1]) + 1, 0
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -461,7 +449,10 @@ def coeff_io_write(table, path):
 
 
 def coeff_io_read(path):
-    """Read a coefficient table written by :func:`coeff_io_write`."""
+    """Read a coefficient table written by :func:`coeff_io_write`.
+
+    Raises ValueError on any normalization tag but 0 (the integral convention).
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     head_len = 4 + struct.calcsize("<IqqqqB")
@@ -470,6 +461,8 @@ def coeff_io_read(path):
     version, n1_lo, n1_hi, n2_lo, n2_hi, tag = struct.unpack("<IqqqqB", raw[4:head_len])
     if version != COEFF_VERSION:
         raise ValueError(f"unsupported coefficient file version {version}")
+    if tag != 0:
+        raise ValueError(f"unsupported normalization tag {tag} (only 0, the integral convention)")
     N1, N2 = n1_hi - n1_lo, n2_hi - n2_lo
     if N1 <= 0 or N2 <= 0 or n1_lo != -(N1 // 2) or n2_lo != -(N2 // 2) or N1 % 2 or N2 % 2:
         raise ValueError("coefficient index ranges must be centered and even-sized")
@@ -482,5 +475,4 @@ def coeff_io_read(path):
     values = np.frombuffer(payload, dtype="<c16").reshape(N2, N1)
     if not np.all(np.isfinite(values)):
         raise ValueError("coefficient payload holds non-finite values")
-    norm = "integral" if tag == 0 else "unknown"
-    return CoefficientTable(values.astype(complex), normalization=norm)
+    return CoefficientTable(values.astype(complex))

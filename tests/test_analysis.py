@@ -12,7 +12,6 @@ from scipy.integrate import quad
 import dfsphere
 from dfsphere.analysis import (
     ErrorTableRow,
-    adaptive_quadrature,
     coefficient_table_for,
     decay_report,
     error_table,
@@ -239,22 +238,11 @@ class TestHoelder:
         with pytest.raises(ValueError, match="alpha"):
             hoelder_quotient_check(combo(), alpha=1.0, n_pairs=10)
 
-
-class TestAdaptiveQuadrature:
-    def test_polynomial(self):
-        assert_allclose(adaptive_quadrature(lambda t: t**4, 0.0, 2.0), 32.0 / 5.0, rtol=1e-12)
-
-    def test_oscillatory(self):
-        val = adaptive_quadrature(np.sin, 0.0, np.pi)
-        assert_allclose(val, 2.0, rtol=1e-10)
-
-    def test_matches_scipy_on_energy_integrand(self):
-        from dfsphere.analysis import _energy_integrand
-
-        for a, b in [(1e-4, 1e-2), (0.3, np.pi / 2)]:
-            mine = adaptive_quadrature(_energy_integrand, a, b)
-            ref, _ = quad(_energy_integrand, a, b, epsabs=0, epsrel=1e-12)
-            assert_allclose(mine, ref, rtol=1e-9)
+    def test_nan_function_does_not_hold(self):
+        f = lambda p: np.full(np.asarray(p).shape[:-1], np.nan)
+        rep = hoelder_quotient_check(f, alpha=0.5, n_pairs=100, seed=0)
+        assert rep.n_violations == rep.n_pairs > 0
+        assert not rep.holds
 
 
 class TestSobolevProbe:
@@ -293,6 +281,13 @@ class TestSobolevProbe:
         for eps, val in zip(probe.epsilons, probe.torus_energy):
             law = 4 * np.pi / (eps * np.log(8.0 / eps) ** 2)
             assert 0.5 <= val / law <= 2.0
+
+    def test_unresolved_panel_raises(self):
+        # QUADPACK cannot resolve sin(1/t) near 0 to the panel tolerance
+        from dfsphere.analysis import _panel_integral
+
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _panel_integral(lambda t: np.sin(1.0 / t), 1e-6, 1.0)
 
     def test_rejects_non_descending(self):
         with pytest.raises(ValueError, match="descending"):

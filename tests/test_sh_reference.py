@@ -9,11 +9,9 @@ from dfsphere.geometry import dfs_coord, dfs_coord_inverse
 from dfsphere.grids import sample_sphere
 from dfsphere.sh_reference import (
     SHCoefficients,
-    assoc_legendre,
     clenshaw_curtis_weights,
     legendre_table,
     sh_analyze,
-    sh_evaluate,
     sh_partial_sums,
     sh_synthesize,
 )
@@ -64,11 +62,11 @@ def random_triangle(h, seed):
 
 class TestAssocLegendre:
     def test_constant_is_inverse_sqrt_4pi(self):
-        assert_allclose(assoc_legendre(0, 0, 0.37), 1.0 / np.sqrt(4 * np.pi), atol=1e-15)
+        assert_allclose(legendre_table(0, 0, 0.37)[-1], 1.0 / np.sqrt(4 * np.pi), atol=1e-15)
 
     def test_degree_one(self):
         t = np.linspace(-1, 1, 11)
-        assert_allclose(assoc_legendre(1, 0, t), np.sqrt(3 / (4 * np.pi)) * t, atol=1e-14)
+        assert_allclose(legendre_table(1, 0, t)[-1], np.sqrt(3 / (4 * np.pi)) * t, atol=1e-14)
 
     def test_orthonormality_via_gauss_legendre(self):
         # oracle: Gauss-Legendre quadrature, exact for these polynomial products
@@ -86,13 +84,13 @@ class TestAssocLegendre:
         t = np.linspace(-0.95, 0.95, 9)
         for n, k in [(2, 1), (5, 3), (9, 0), (12, 7)]:
             norm = np.sqrt((2 * n + 1) / (4 * np.pi) * factorial(n - k) / factorial(n + k))
-            assert_allclose(assoc_legendre(n, k, t), norm * lpmv(k, n, t), rtol=1e-12)
+            assert_allclose(legendre_table(n, k, t)[-1], norm * lpmv(k, n, t), rtol=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="order"):
-            assoc_legendre(2, 3, 0.0)
+            legendre_table(2, 3, 0.0)
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            assoc_legendre(2, 1, 1.5)
+            legendre_table(2, 1, 1.5)
 
 
 def test_clenshaw_curtis_integrates_polynomials():
@@ -168,20 +166,20 @@ class TestEvaluate:
         vals[1, 0 + 1] = 1.0
         co = SHCoefficients(degree=1, values=vals)
         p = self.sphere_points(100)
-        assert_allclose(sh_evaluate(co, p), np.sqrt(3 / (4 * np.pi)) * p[:, 2], atol=1e-13)
+        assert_allclose(sh_partial_sums(co, p, [co.degree])[0], np.sqrt(3 / (4 * np.pi)) * p[:, 2], atol=1e-13)
 
     def test_projection_identity_on_bandlimited(self):
         f = spherical_function(preset("bandlimited-4"))
         co = sh_analyze(sample_sphere(f, 40, 20), h=6)
         p = self.sphere_points(200)
-        assert_allclose(sh_evaluate(co, p), f(p), atol=1e-9)
+        assert_allclose(sh_partial_sums(co, p, [co.degree])[0], f(p), atol=1e-9)
 
     def test_analyze_twice_is_projection(self):
         f = spherical_function(preset("f3-combo"))
         co = sh_analyze(sample_sphere(f, 64, 32), h=10)
 
         def reconstruction(points):
-            return sh_evaluate(co, points)
+            return sh_partial_sums(co, points, [co.degree])[0]
 
         co2 = sh_analyze(sample_sphere(reconstruction, 64, 32), h=10)
         assert np.max(np.abs(co2.values - co.values)) < 1e-12
@@ -215,8 +213,8 @@ class TestEvaluate:
         co = sh_analyze(sample_sphere(f, 64, 32), h=12)
         p = self.sphere_points(50)
         s4, s8, s12 = sh_partial_sums(co, p, [4, 8, 12])
-        assert_allclose(s4, sh_evaluate(co, p, degree=4), atol=1e-13)
-        assert_allclose(s12, sh_evaluate(co, p), atol=1e-13)
+        assert_allclose(s4, sh_partial_sums(co, p, [4])[0], atol=1e-13)
+        assert_allclose(s12, sh_partial_sums(co, p, [co.degree])[0], atol=1e-13)
         assert np.max(np.abs(s8 - s4)) > 0
 
     def test_synthesis_matches_shell_oracle(self):
@@ -253,10 +251,6 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="ascending"):
             sh_partial_sums(co, self.sphere_points(5), degrees)
 
-    def test_evaluate_rejects_negative_degree(self):
-        with pytest.raises(ValueError, match="ascending"):
-            sh_evaluate(random_triangle(4, 0), self.sphere_points(5), degree=-1)
-
     def test_truncation_error_comparable_to_dfs(self):
         # degree-32 truncation error of the plateau function within a factor
         # 10 of the rectangle truncation on the same evaluation grid
@@ -267,7 +261,7 @@ class TestEvaluate:
         eval_size = (128, 64)
         g = sample_sphere(f, *eval_size)
         L, T = np.meshgrid(g.lambdas, g.thetas)
-        sh_err = float(np.max(np.abs(sh_evaluate(co, dfs_coord(L, T)) - g.values)))
+        sh_err = float(np.max(np.abs(sh_partial_sums(co, dfs_coord(L, T), [co.degree])[0] - g.values)))
         rows = error_table(f, [32], eval_size=eval_size, oversample=8)
         ratio = rows[0].max_error / sh_err
         assert 0.1 <= ratio <= 10.0

@@ -25,7 +25,6 @@ from dfsphere.spectral import (
     partial_sum_grid,
     partial_sum_torus,
     unfold_coefficients,
-    weighted_inner_product,
 )
 from dfsphere.testfns import spherical_function, standard_combination
 
@@ -299,16 +298,16 @@ def b_func(n1, n2):
 class TestWeightedInnerProduct:
     def test_constant(self):
         one = lambda p: np.ones(np.asarray(p).shape[:-1])
-        val = weighted_inner_product(one, one, n_quad=128)
+        val = gram_matrix([one, one], n_quad=128)[0, 1]
         assert_allclose(val, 2 * np.pi**2, atol=1e-8)
 
     def test_norm_of_folded_mode(self):
         # symbolic: the cross term integrates cos(2 n2 theta) over [0, pi] to 0
-        val = weighted_inner_product(b_func(1, 2), b_func(1, 2), n_quad=512)
+        val = gram_matrix([b_func(1, 2), b_func(1, 2)], n_quad=512)[0, 1]
         assert_allclose(val, 4 * np.pi**2, atol=1e-8)
 
     def test_orthogonal_pair(self):
-        val = weighted_inner_product(b_func(1, 2), b_func(0, 3), n_quad=512)
+        val = gram_matrix([b_func(1, 2), b_func(0, 3)], n_quad=512)[0, 1]
         assert abs(val) < 1e-10
 
     def test_gram_structure(self):
@@ -373,7 +372,7 @@ class TestWeightedInnerProduct:
                 continue
             pairs.append((n, m))
         for n, m in pairs:
-            val = weighted_inner_product(b_func(*n), b_func(*m), n_quad=256)
+            val = gram_matrix([b_func(*n), b_func(*m)], n_quad=256)[0, 1]
             assert abs(val) < 1e-10, (n, m, val)
 
 
@@ -469,7 +468,6 @@ class TestCoeffIO:
         coeff_io_write(table, path)
         back = coeff_io_read(path)
         assert np.array_equal(back.values, table.values)
-        assert back.normalization == "integral"
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dfsc"
@@ -484,6 +482,15 @@ class TestCoeffIO:
         path = tmp_path / "n.dfsc"
         coeff_io_write(table, path)
         with pytest.raises(ValueError, match="non-finite"):
+            coeff_io_read(path)
+
+    def test_rejects_unknown_normalization_tag(self, tmp_path):
+        path = tmp_path / "c.dfsc"
+        coeff_io_write(cos_theta_table(16), path)
+        raw = bytearray(path.read_bytes())
+        raw[40] = 255  # the tag follows magic, version and four index bounds
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="normalization tag 255"):
             coeff_io_read(path)
 
     def test_rejects_truncation(self, tmp_path):
