@@ -64,16 +64,15 @@ def dfs_coord_inverse(points):
     Raises
     ------
     ValueError
-        If any input norm deviates from 1 by more than ``UNIT_NORM_TOL``.
+        If any input norm deviates from 1 by more than ``UNIT_NORM_TOL``, or
+        is not finite.
     """
     p = np.asarray(points, dtype=float)
     if p.shape[-1] != 3:
         raise ValueError(f"expected points of shape (..., 3), got {p.shape}")
-    norms = np.sqrt(np.sum(p * p, axis=-1))
-    bad = np.abs(norms - 1.0) > UNIT_NORM_TOL
-    if np.any(bad):
-        worst = float(np.max(np.abs(norms - 1.0)))
-        raise ValueError(f"input not on the unit sphere: max norm deviation {worst:.3e}")
+    dev = np.abs(np.sqrt(np.sum(p * p, axis=-1)) - 1.0)
+    if not np.all(dev <= UNIT_NORM_TOL):  # NaN-safe: a non-finite point fails the comparison
+        raise ValueError(f"input not on the unit sphere: max norm deviation {float(np.max(dev)):.3e}")
     theta = np.arccos(np.clip(p[..., 2], -1.0, 1.0))
     # atan2(0, 0) = 0, so the poles land on lam = 0 without special-casing;
     # the explicit branch only normalizes points with tiny off-axis noise.

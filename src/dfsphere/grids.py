@@ -134,8 +134,7 @@ def sample_sphere(f, n_lambda, n_theta_half):
     theta = np.pi * np.arange(1, n_theta_half) / n_theta_half
     vals = np.empty((n_theta_half + 1, n_lambda), dtype=complex)
     if n_theta_half > 1:
-        L, T = np.meshgrid(lam, theta)
-        vals[1:-1] = f(dfs_coord(L, T))
+        vals[1:-1] = f(dfs_coord(lam[None, :], theta[:, None]))
     vals[0, :] = complex(np.asarray(f(np.array([0.0, 0.0, 1.0])), dtype=complex))
     vals[-1, :] = complex(np.asarray(f(np.array([0.0, 0.0, -1.0])), dtype=complex))
     if not np.all(np.isfinite(vals)):

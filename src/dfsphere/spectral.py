@@ -102,12 +102,7 @@ class CoefficientTable:
         pairs with itself; the relative scale is global because individual
         coefficients may be exactly zero. Non-finite entries give NaN.
         """
-        N2 = self.values.shape[0]
-        rows = (-(self.n2_values) + N2 // 2) % N2
-        reflected = self.values[rows, :]
-        resid = np.abs(self.values - _alternating(self.n1_values)[None, :] * reflected)
-        scale = np.max(np.abs(self.values))
-        return 0.0 if scale == 0 else float(np.max(resid) / scale)
+        return _mirror_residual(self.values)[1]
 
     def conjugate_symmetry_violation(self):
         """Max |c_{-n} - conj(c_n)| relative to the largest coefficient."""
@@ -200,17 +195,35 @@ class SpectralSet:
         return SpectralSet(self.shape, self.degree, self.norm, half=False)
 
 
+def _real_coefficients(x):
+    """Centered coefficient table of a real grid ``x`` sampled from (-pi, -pi).
+
+    Rolling the origin to (0, 0) takes the factor (-1)^{n1+n2} out of the
+    transform; the n1 < 0 columns follow from c_{-n} = conj(c_n).
+    """
+    N2, N1 = x.shape
+    h2, h1 = N2 // 2, N1 // 2
+    # rows n2 mod N2, columns n1 = 0 .. N1/2; norm="forward" divides by N1 N2 inside the transform
+    half = np.fft.rfft2(np.roll(x, (h2, h1), axis=(0, 1)), norm="forward")
+    table = np.empty((N2, N1), dtype=complex)
+    table[h2:, h1:] = half[:h2, :h1]
+    table[:h2, h1:] = half[h2:, :h1]
+    np.conjugate(half[h2::-1, h1:0:-1], out=table[: h2 + 1, :h1])
+    np.conjugate(half[:h2:-1, h1:0:-1], out=table[h2 + 1 :, :h1])
+    return table
+
+
 def compute_coefficients(grid):
     """Fourier coefficients of a torus grid under the integral convention.
 
-    Computed with a single 2-d FFT; the factor (-1)^{n1+n2} accounts for the
-    grid origin at (-pi, -pi).
+    A full 2-d transform of the grid, taken as a real-input FFT of its real
+    part plus, when the grid is complex, i times that of its imaginary part.
+    The table is not symmetrized, so a BMC violation of the grid shows in it.
     """
-    N2, N1 = grid.values.shape
-    table = np.fft.fftshift(np.fft.fft2(grid.values)) / (N1 * N2)
-    n1 = np.arange(-(N1 // 2), N1 // 2)
-    n2 = np.arange(-(N2 // 2), N2 // 2)
-    table *= _alternating(n2)[:, None] * _alternating(n1)[None, :]
+    values = grid.values
+    table = _real_coefficients(values.real)
+    if np.any(values.imag):
+        table += 1j * _real_coefficients(values.imag)
     return CoefficientTable(table)
 
 
@@ -358,7 +371,7 @@ def gram_matrix(functions, n_quad=512):
     """
     functions = list(functions)
     lam, theta, w = quadrature_rule(n_quad)
-    nodes = dfs_coord(*np.meshgrid(lam, theta))
+    nodes = dfs_coord(lam[None, :], theta[:, None])
     A = np.empty((len(functions), n_quad * n_quad), dtype=complex)
     for row, f in zip(A, functions):
         row[:] = np.ravel(f(nodes))
@@ -394,6 +407,20 @@ def dfs_fourier_sum(table, omega, points):
     return _separable_sum(n1, n2, block, *dfs_coord_inverse(points))
 
 
+def _mirror_residual(values):
+    """The mirrored half of a table and its relative asymmetry.
+
+    The half holds (-1)^{n1} c_(n1, -n2) for the rows n2 = 0 .. N2/2 - 1 and
+    then the self-paired Nyquist row. As |c_n - (-1)^{n1} c_{M(n)}| is the same
+    for rows n2 and -n2, comparing these rows with their mirrors covers the table.
+    """
+    h2, N1 = values.shape[0] // 2, values.shape[1]
+    mirrored = _alternating(np.arange(-(N1 // 2), N1 // 2))[None, :] * values[h2::-1]
+    resid = np.maximum(np.max(np.abs(values[h2:] - mirrored[:h2])), np.max(np.abs(values[0] - mirrored[h2])))
+    scale = np.max(np.abs(values))
+    return mirrored, 0.0 if scale == 0 else float(resid / scale)
+
+
 def fold_coefficients(table):
     """Project a full table onto the half domain, enforcing the symmetry exactly.
 
@@ -402,19 +429,16 @@ def fold_coefficients(table):
     odd-n1 entries. Raises if the relative asymmetry exceeds ``_SYMMETRY_TOL`` (the
     source grid was not BMC) or is NaN (the table holds non-finite values).
     """
-    violation = table.symmetry_violation()
+    half, violation = _mirror_residual(table.values)
     if not violation <= _SYMMETRY_TOL:
         raise ValueError(
             f"coefficient symmetry violated (relative asymmetry {violation:.3e} > {_SYMMETRY_TOL:.1e}); "
             "source grid is not block-mirror-centrosymmetric"
         )
-    N2, N1 = table.values.shape
-    sgn = _alternating(table.n1_values)[None, :]
-    rows = (-(table.n2_values) + N2 // 2) % N2
-    symmetrized = 0.5 * (table.values + sgn * table.values[rows, :])
-    half = np.empty((N2 // 2 + 1, N1), dtype=complex)
-    half[: N2 // 2] = symmetrized[N2 // 2:]        # n2 = 0 .. N2/2 - 1
-    half[N2 // 2] = symmetrized[0]                 # self-paired Nyquist row
+    h2 = table.values.shape[0] // 2
+    half[:h2] += table.values[h2:]                # n2 = 0 .. N2/2 - 1
+    half[h2] += table.values[0]                   # self-paired Nyquist row
+    half *= 0.5
     return FoldedCoefficientTable(half)
 
 

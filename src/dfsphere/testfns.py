@@ -63,6 +63,8 @@ class TestFunctionSpec:
             raise ValueError("rotation matrix must be finite and orthogonal within 1e-12")
         if not np.isfinite(self.weight):
             raise ValueError(f"weight must be finite, got {self.weight}")
+        if not np.isfinite(self.a):
+            raise ValueError(f"plateau cut a must be finite, got {self.a}")
         if self.kind == "f_nu" and not (0.0 < self.a < 1.0):
             raise ValueError("plateau cut a must lie in (0, 1)")
 

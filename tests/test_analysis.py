@@ -26,6 +26,15 @@ from dfsphere.spectral import CoefficientTable, compute_coefficients
 from dfsphere.testfns import preset, spherical_function, standard_combination
 
 
+def modules_loaded_by_import(*names):
+    """For each module name, whether a fresh `import dfsphere` loads it."""
+    src = os.path.dirname(os.path.dirname(dfsphere.__file__))
+    code = f"import sys, dfsphere; print(*[n in sys.modules for n in {names!r}])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return [word == "True" for word in out.stdout.split()]
+
+
 def combo():
     return spherical_function(standard_combination())
 
@@ -63,11 +72,12 @@ class TestZetaTailSum:
 
     def test_import_leaves_scipy_special_unloaded(self):
         # zeta_tail_sum imports scipy.special itself; `import dfsphere` must not
-        src = os.path.dirname(os.path.dirname(dfsphere.__file__))
-        code = "import sys, dfsphere; print('scipy.special' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert modules_loaded_by_import("scipy.special") == [False]
+
+    def test_import_leaves_scipy_unloaded(self):
+        # the transform stays on numpy.fft: `import scipy.fft` alone takes about
+        # 0.25 s, which every `dfs` command would pay
+        assert modules_loaded_by_import("scipy", "scipy.fft") == [False, False]
 
 
 class TestFitRate:

@@ -119,6 +119,14 @@ class TestNonFiniteSpec:
         assert code == 2
         assert not out.exists()
 
+    def test_non_finite_cut_exits_two(self, tmp_path):
+        # the cut a is read for every kind, though only f_nu uses it
+        spec = tmp_path / "a.json"
+        spec.write_text(json.dumps({"terms": [{"kind": "coordinate", "a": float("nan")}]}))
+        out = tmp_path / "c.dfsc"
+        assert run(["coeffs", "--spec", str(spec), "--grid", "64", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 def read_csv(path):
     with open(path, newline="") as fh:

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dfsphere.geometry import dfs_coord
@@ -50,6 +52,17 @@ class TestSampleSphere:
         ]:
             direct += w * np.clip(pts @ np.asarray(axis) - 0.5, 0, None) ** 4
         assert_allclose(g.values[rows, cols], direct, atol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 32), st.integers(1, 32))
+    def test_broadcast_nodes_match_meshgrid_sampling(self, half_lambda, n_theta_half):
+        # reference: the interior rows evaluated on a full meshgrid of nodes
+        f = spherical_function(standard_combination())
+        n_lambda = 2 * half_lambda
+        lam = -np.pi + 2.0 * np.pi * np.arange(n_lambda) / n_lambda
+        theta = np.pi * np.arange(1, n_theta_half) / n_theta_half
+        expected = f(dfs_coord(*np.meshgrid(lam, theta)))
+        assert np.array_equal(sample_sphere(f, n_lambda, n_theta_half).values[1:-1], expected)
 
     def test_pole_rows_constant(self):
         f = spherical_function(standard_combination())

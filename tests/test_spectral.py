@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dfsphere.geometry import dfs_coord, dfs_coord_inverse, glide_reflect
-from dfsphere.grids import TorusGrid, dfs_double, sample_sphere
+from dfsphere.grids import LatLonGrid, TorusGrid, dfs_double, sample_sphere
 from dfsphere.spectral import (
     CoefficientTable,
     SpectralSet,
@@ -39,6 +39,56 @@ def combo():
 
 def cos_theta_table(n=32):
     return compute_coefficients(dfs_double(sample_sphere(coord_z, n, n // 2)))
+
+
+def alternating(n):
+    return np.where(np.arange(-(n // 2), n // 2) % 2 == 0, 1.0, -1.0)
+
+
+def fft2_reference(values):
+    """Reference transform: the full complex FFT, shifted and re-signed for the -pi origin."""
+    N2, N1 = values.shape
+    table = np.fft.fftshift(np.fft.fft2(values)) / (N1 * N2)
+    return table * alternating(N2)[:, None] * alternating(N1)[None, :]
+
+
+def full_table_mirror(values):
+    """(-1)^{n1} c_(n1, -n2) over the whole table, the reflection taken modulo its size."""
+    N2, N1 = values.shape
+    rows = (-np.arange(-(N2 // 2), N2 // 2) + N2 // 2) % N2
+    return alternating(N1)[None, :] * values[rows, :]
+
+
+def full_table_violation(values):
+    """Reference symmetry figure: every residual of the full table."""
+    resid = np.abs(values - full_table_mirror(values))
+    scale = np.max(np.abs(values))
+    return 0.0 if scale == 0 else float(np.max(resid) / scale)
+
+
+def table_violation_matches(values):
+    """symmetry_violation equals the full-table figure, NaN included."""
+    return np.array_equal(CoefficientTable(values).symmetry_violation(), full_table_violation(values), equal_nan=True)
+
+
+def full_table_fold(values):
+    """Reference fold: symmetrize the full table, then keep rows n2 = 0 .. N2/2."""
+    N2 = values.shape[0]
+    symmetrized = 0.5 * (values + full_table_mirror(values))
+    return np.vstack([symmetrized[N2 // 2:], symmetrized[:1]])
+
+
+@st.composite
+def doubled_tables(draw):
+    """Coefficient tables of doubled random lat-lon grids, real or complex, non-square included."""
+    n_lambda = 2 * draw(st.integers(1, 32))
+    nth = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(nth + 1, n_lambda))
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=values.shape)
+    values[0], values[-1] = values[0, 0], values[-1, 0]  # constant pole rows, as sampled
+    return compute_coefficients(dfs_double(LatLonGrid(values)))
 
 
 class TestSpectralSet:
@@ -120,6 +170,23 @@ class TestComputeCoefficients:
     def test_rejects_odd_grid(self):
         with pytest.raises(ValueError, match="even"):
             TorusGrid(np.ones((15, 16), dtype=complex))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 32), st.integers(1, 32), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_full_complex_fft(self, half2, half1, is_complex, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(2 * half2, 2 * half1))
+        if is_complex:
+            values = values + 1j * rng.normal(size=values.shape)
+        reference = fft2_reference(values)
+        table = compute_coefficients(TorusGrid(values))
+        assert np.max(np.abs(table.values - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    def test_bmc_asymmetry_of_the_transform_is_not_erased(self):
+        # the table is a plain transform of the doubled grid, so its BMC
+        # symmetry holds to rounding, not exactly; C01 relies on that
+        table = compute_coefficients(dfs_double(sample_sphere(combo(), 64, 32)))
+        assert 0.0 < table.symmetry_violation() <= 1e-14
 
 
 class TestPartialSums:
@@ -420,6 +487,17 @@ class TestDfsFourierSum:
         with pytest.raises(ValueError, match="half-domain"):
             dfs_fourier_sum(table, SpectralSet("rectangle", 1), np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("evaluate", [
+        dfs_coord_inverse,
+        partial(dfs_fourier_sum, cos_theta_table(16), SpectralSet("rectangle", 1, half=True)),
+        partial(basis_b, 1, 2),
+    ], ids=["dfs_coord_inverse", "dfs_fourier_sum", "basis_b"])
+    def test_rejects_non_finite_points(self, evaluate, bad):
+        points = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="unit sphere"):
+            evaluate(points)
+
 
 class TestFold:
     def test_fold_then_unfold_idempotent(self):
@@ -451,6 +529,31 @@ class TestFold:
         table = compute_coefficients(grid)
         with pytest.raises(ValueError, match="not block-mirror-centrosymmetric"):
             fold_coefficients(table)
+
+    @settings(max_examples=25, deadline=None)
+    @given(doubled_tables())
+    def test_paired_rows_match_full_table_formulas(self, table):
+        assert table.symmetry_violation() == full_table_violation(table.values)
+        assert np.array_equal(fold_coefficients(table).values, full_table_fold(table.values))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 32), st.integers(1, 32), st.integers(0, 2**32 - 1))
+    def test_paired_rows_match_full_table_formulas_with_nan(self, half2, half1, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(2 * half2, 2 * half1)) + 1j * rng.normal(size=(2 * half2, 2 * half1))
+        assert table_violation_matches(values)
+        values[rng.integers(2 * half2), rng.integers(2 * half1)] = np.nan
+        assert table_violation_matches(values)
+        with pytest.raises(ValueError, match="symmetry violated"):
+            fold_coefficients(CoefficientTable(values))
+
+    @settings(max_examples=25, deadline=None)
+    @given(doubled_tables())
+    def test_fold_unfold_round_trips(self, table):
+        folded = fold_coefficients(table)
+        symmetrized = unfold_coefficients(folded)
+        assert np.array_equal(fold_coefficients(symmetrized).values, folded.values)
+        assert np.array_equal(unfold_coefficients(fold_coefficients(symmetrized)).values, symmetrized.values)
 
     def test_nan_entry_propagates_and_fold_raises(self):
         table = cos_theta_table(16)

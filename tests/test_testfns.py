@@ -76,6 +76,12 @@ class TestFNu:
         with pytest.raises(ValueError, match="weight must be finite"):
             TestFunctionSpec("f_nu", weight=bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["f_nu", "counterexample", "harmonic_probe", "constant", "coordinate"])
+    def test_rejects_non_finite_cut_for_every_kind(self, kind, bad):
+        with pytest.raises(ValueError, match="a must be finite"):
+            TestFunctionSpec(kind, a=bad)
+
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_smoothness_order_at_cut(self, nu):
         # 1-d oracle on t -> ((t - a)_+)^(nu+1): the nu-th derivative is
