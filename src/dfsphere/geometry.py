@@ -40,11 +40,12 @@ def dfs_coord(lam, theta):
     """
     lam = np.asarray(lam, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    out = np.empty(np.broadcast_shapes(lam.shape, theta.shape) + (3,))
     st = np.sin(theta)
-    return np.stack(
-        [np.cos(lam) * st, np.sin(lam) * st, np.cos(theta) * np.ones_like(lam)],
-        axis=-1,
-    )
+    np.multiply(np.cos(lam), st, out=out[..., 0])
+    np.multiply(np.sin(lam), st, out=out[..., 1])
+    out[..., 2] = np.cos(theta)
+    return out
 
 
 def dfs_coord_inverse(points):

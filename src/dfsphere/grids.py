@@ -5,6 +5,11 @@ full torus by copying samples through the glide reflection. Because samples are
 copied rather than re-evaluated, the resulting grid satisfies the
 block-mirror-centrosymmetric (BMC) identity exactly in floating point, and the
 pole rows (theta = 0 and theta = -pi == pi) are exactly constant (BMC-1).
+
+A grid's dtype follows its samples: real samples are stored as float64 and
+anything complex as complex128, so a real function stays real from sampling
+through doubling to the transform. The DFSG file layout always stores complex
+float64 pairs, whatever the dtype of the grid written.
 """
 
 import struct
@@ -27,6 +32,11 @@ GRID_MAGIC = b"DFSG"
 GRID_VERSION = 1
 
 
+def _sample_array(values):
+    """Contiguous float64 samples when ``values`` is real, complex128 otherwise."""
+    return np.ascontiguousarray(values, dtype=float if np.isrealobj(values) else complex)
+
+
 @dataclass
 class TorusGrid:
     """Samples of a biperiodic function on a full-period equispaced grid.
@@ -34,14 +44,15 @@ class TorusGrid:
     ``values[j, k]`` is the sample at (lambda_k, theta_j) with
     lambda_k = -pi + 2 pi k / n_lambda and theta_j = -pi + 2 pi j / n_theta.
     ``bmc`` asserts that the grid satisfies the glide-reflection identity
-    value(lambda, theta) = value(lambda + pi, -theta) exactly.
+    value(lambda, theta) = value(lambda + pi, -theta) exactly. ``values`` is
+    float64 when given real samples and complex128 otherwise.
     """
 
     values: np.ndarray
     bmc: bool = False
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=complex)
+        self.values = _sample_array(self.values)
         if self.values.ndim != 2:
             raise ValueError("torus grid values must be a 2-d array")
         n_theta, n_lambda = self.values.shape
@@ -81,7 +92,8 @@ class LatLonGrid:
     """Samples of a spherical function on the rectangle [-pi, pi) x [0, pi].
 
     ``values`` has shape (n_theta_half + 1, n_lambda); row j holds theta_j =
-    pi j / n_theta_half, so the first and last rows are the poles.
+    pi j / n_theta_half, so the first and last rows are the poles. ``values``
+    is float64 when given real samples and complex128 otherwise.
     """
 
     values: np.ndarray
@@ -89,7 +101,7 @@ class LatLonGrid:
     n_lambda: int = field(init=False)
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=complex)
+        self.values = _sample_array(self.values)
         if self.values.ndim != 2 or self.values.shape[0] < 2:
             raise ValueError("lat-lon grid values must be 2-d with at least two rows")
         self.n_theta_half = self.values.shape[0] - 1
@@ -123,8 +135,9 @@ def sample_sphere(f, n_lambda, n_theta_half):
         Number of colatitude panels on [0, pi]; the grid has n_theta_half + 1 rows.
 
     The pole rows are evaluated once each and broadcast, so they are exactly
-    constant regardless of the behaviour of ``f`` near the poles. A non-finite
-    sample raises ValueError.
+    constant regardless of the behaviour of ``f`` near the poles. The grid is
+    float64 when the interior and both poles come back real, complex128
+    otherwise. A non-finite sample raises ValueError.
     """
     if n_lambda < 2 or n_lambda % 2:
         raise ValueError(f"n_lambda must be even and >= 2, got {n_lambda}")
@@ -132,11 +145,16 @@ def sample_sphere(f, n_lambda, n_theta_half):
         raise ValueError(f"n_theta_half must be >= 1, got {n_theta_half}")
     lam = -np.pi + 2.0 * np.pi * np.arange(n_lambda) / n_lambda
     theta = np.pi * np.arange(1, n_theta_half) / n_theta_half
-    vals = np.empty((n_theta_half + 1, n_lambda), dtype=complex)
+    interior = np.empty((0, n_lambda))
     if n_theta_half > 1:
-        vals[1:-1] = f(dfs_coord(lam[None, :], theta[:, None]))
-    vals[0, :] = complex(np.asarray(f(np.array([0.0, 0.0, 1.0])), dtype=complex))
-    vals[-1, :] = complex(np.asarray(f(np.array([0.0, 0.0, -1.0])), dtype=complex))
+        interior = f(dfs_coord(lam[None, :], theta[:, None]))
+    north = np.asarray(f(np.array([0.0, 0.0, 1.0]))).item()
+    south = np.asarray(f(np.array([0.0, 0.0, -1.0]))).item()
+    real = np.isrealobj(interior) and np.isrealobj(north) and np.isrealobj(south)
+    vals = np.empty((n_theta_half + 1, n_lambda), dtype=float if real else complex)
+    vals[1:-1] = interior
+    vals[0, :] = north
+    vals[-1, :] = south
     if not np.all(np.isfinite(vals)):
         raise ValueError("sampled function returned non-finite values")
     return LatLonGrid(vals)
@@ -147,17 +165,20 @@ def dfs_double(g):
 
     The theta in [0, pi) rows are copied verbatim; the theta in (-pi, 0) rows
     are filled with the glide-reflected samples (column shift by pi requires an
-    even number of columns). The theta = -pi row is the south-pole row.
+    even number of columns). The theta = -pi row is the south-pole row. The
+    torus grid keeps the dtype of ``g``.
     """
     if g.n_lambda % 2:
         raise ValueError("dfs_double requires an even n_lambda so the half-turn is a column shift")
     nth = g.n_theta_half
     shift = g.n_lambda // 2
-    out = np.empty((2 * nth, g.n_lambda), dtype=complex)
+    out = np.empty((2 * nth, g.n_lambda), dtype=g.values.dtype)
     out[nth:] = g.values[:-1]
     out[0] = g.values[-1]
     if nth > 1:
-        out[1:nth] = np.roll(g.values[nth - 1:0:-1], shift, axis=1)
+        # rows theta_j, j = nth-1 .. 1, turned by half a revolution in lambda
+        out[1:nth, :shift] = g.values[nth - 1:0:-1, shift:]
+        out[1:nth, shift:] = g.values[nth - 1:0:-1, :shift]
     return TorusGrid(out, bmc=True)
 
 
@@ -166,6 +187,8 @@ def grid_io_write(grid, path):
 
     Layout: magic ``DFSG``, version u32 LE, n_lambda u64 LE, n_theta u64 LE,
     bmc flag u8, then row-major complex values as little-endian float64 pairs.
+    A real grid is widened to complex pairs, so it writes the same bytes as
+    the same grid cast to complex.
     """
     header = GRID_MAGIC + struct.pack(
         "<IQQB", GRID_VERSION, grid.n_lambda, grid.n_theta, 1 if grid.bmc else 0
@@ -177,7 +200,7 @@ def grid_io_write(grid, path):
 
 
 def grid_io_read(path):
-    """Read a torus grid written by :func:`grid_io_write`."""
+    """Read a torus grid written by :func:`grid_io_write`; the grid is complex128."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head_len = 4 + struct.calcsize("<IQQB")

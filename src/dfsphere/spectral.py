@@ -216,11 +216,16 @@ def _real_coefficients(x):
 def compute_coefficients(grid):
     """Fourier coefficients of a torus grid under the integral convention.
 
-    A full 2-d transform of the grid, taken as a real-input FFT of its real
-    part plus, when the grid is complex, i times that of its imaginary part.
-    The table is not symmetrized, so a BMC violation of the grid shows in it.
+    A full 2-d transform of the grid by real-input FFTs. A real (float64) grid
+    is transformed as it is, with no imaginary part to scan; a complex grid is
+    transformed as its real part plus, when its imaginary part is nonzero, i
+    times that of its imaginary part, so a real grid and its complex cast give
+    the same bits. The table is not symmetrized, so a BMC violation of the
+    grid shows in it.
     """
     values = grid.values
+    if np.isrealobj(values):
+        return CoefficientTable(_real_coefficients(values))
     table = _real_coefficients(values.real)
     if np.any(values.imag):
         table += 1j * _real_coefficients(values.imag)

@@ -67,6 +67,8 @@ class TestFunctionSpec:
             raise ValueError(f"plateau cut a must be finite, got {self.a}")
         if self.kind == "f_nu" and not (0.0 < self.a < 1.0):
             raise ValueError("plateau cut a must lie in (0, 1)")
+        if self.kind == "f_nu" and not (float(self.nu).is_integer() and self.nu >= 0):
+            raise ValueError(f"plateau order nu must be an integer >= 0, got {self.nu}")
 
     @property
     def axis(self):
@@ -74,16 +76,35 @@ class TestFunctionSpec:
         return self.rotation @ np.array([0.0, 0.0, 1.0])
 
 
+def _power_in_place(x, k):
+    """x ** k for an integer k >= 1 by repeated squaring, overwriting ``x``.
+
+    A power of two needs no array besides ``x``, any other k one more.
+    """
+    result = None
+    while k > 1:
+        if k & 1:
+            result = x.copy() if result is None else np.multiply(result, x, out=result)
+        x *= x
+        k >>= 1
+    return x if result is None else np.multiply(result, x, out=result)
+
+
 def eval_f_nu(spec, points):
     """Plateau cap: weight * ((<axis, xi> - a)_+)^(nu + 1).
 
     Exactly zero outside the cap <axis, xi> > a; the (nu)-th derivative is
     Lipschitz across the cap edge, i.e. the function lies in every Hoelder
-    class C^{nu, alpha} with alpha < 1.
+    class C^{nu, alpha} with alpha < 1. The integer power is taken by squaring
+    in place, not by ``**``, which goes through ``pow``.
     """
     p = np.asarray(points, dtype=float)
-    t = p @ spec.axis
-    return spec.weight * np.clip(t - spec.a, 0.0, None) ** (spec.nu + 1)
+    cap = np.asarray(p @ spec.axis)  # a 0-d array for a single point, so the in-place steps hold
+    cap -= spec.a
+    np.maximum(cap, 0.0, out=cap)
+    power = _power_in_place(cap, int(spec.nu) + 1)
+    power *= spec.weight
+    return power
 
 
 def eval_counterexample(points):
@@ -189,9 +210,12 @@ def spec_to_dict(spec):
 
 
 def spec_from_dict(d):
+    nu = d.get("nu", 3)
+    if not float(nu).is_integer():
+        raise ValueError(f"nu must be an integer, got {nu}")
     return TestFunctionSpec(
         kind=d["kind"],
-        nu=int(d.get("nu", 3)),
+        nu=int(nu),
         a=float(d.get("a", 0.5)),
         rotation=np.asarray(d.get("rotation", np.eye(3)), dtype=float),
         weight=float(d.get("weight", 1.0)),

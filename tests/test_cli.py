@@ -127,6 +127,15 @@ class TestNonFiniteSpec:
         assert run(["coeffs", "--spec", str(spec), "--grid", "64", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("nu", [2.5, -1])
+    def test_fractional_or_negative_order_exits_two(self, tmp_path, nu):
+        # a plateau order must be an integer >= 0; it is not rounded or clipped
+        spec = tmp_path / "nu.json"
+        spec.write_text(json.dumps({"terms": [{"kind": "f_nu", "nu": nu}]}))
+        out = tmp_path / "c.dfsc"
+        assert run(["coeffs", "--spec", str(spec), "--grid", "64", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 def read_csv(path):
     with open(path, newline="") as fh:

@@ -37,6 +37,21 @@ def test_component_bound():
     assert np.max(np.abs(p)) <= 1.0 + 1e-15
 
 
+BROADCAST_SHAPES = [((), ()), ((7,), ()), ((), (5,)), ((1, 6), (4, 1)), ((3, 6), (3, 6)), ((2, 1, 3), (4, 1))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(BROADCAST_SHAPES), st.integers(0, 2**32 - 1))
+def test_matches_stacked_formula_bitwise(shapes, seed):
+    # reference: the three coordinates formed separately and stacked
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-np.pi, np.pi, shapes[0])
+    th = rng.uniform(-np.pi, np.pi, shapes[1])
+    ones = np.ones(np.broadcast_shapes(lam.shape, th.shape))
+    expected = np.stack([np.cos(lam) * np.sin(th), np.sin(lam) * np.sin(th), np.cos(th) * ones], axis=-1)
+    assert np.array_equal(dfs_coord(lam, th), expected)
+
+
 def test_bmc_identity_random():
     # phi(lambda + pi, -theta) = phi(lambda, theta), up to rounding
     rng = np.random.default_rng(5)

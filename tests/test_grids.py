@@ -79,6 +79,29 @@ class TestSampleSphere:
         with pytest.raises(ValueError, match="non-finite"):
             sample_sphere(f, 16, 8)
 
+    def test_complex_function_gives_complex128(self):
+        g = sample_sphere(lambda p: np.exp(1j * np.asarray(p)[..., 0]), 16, 8)
+        assert g.values.dtype == np.complex128
+        assert_allclose(g.values[0], 1.0)
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_complex_only_at_a_pole_gives_complex128(self, pole):
+        def f(points):
+            z = np.asarray(points)[..., 2]
+            return z + 1j if z.ndim == 0 and z == pole else z
+
+        g = sample_sphere(f, 8, 4)
+        assert g.values.dtype == np.complex128
+        row = 0 if pole > 0 else -1
+        assert np.all(g.values[row] == pole + 1j)
+        assert np.all(g.values[-1 - row] == -pole)
+        assert np.array_equal(g.values[1:-1], sample_sphere(coord_z, 8, 4).values[1:-1])
+
+    def test_single_panel_grid_is_poles_only(self):
+        g = sample_sphere(coord_z, 8, 1)
+        assert g.values.dtype == np.float64
+        assert np.array_equal(g.values, [[1.0] * 8, [-1.0] * 8])
+
     def test_propagates_evaluation_failure(self):
         def bad(points):
             raise RuntimeError("boom")
@@ -121,11 +144,63 @@ class TestDouble:
         # pole rows of the direct path hit the poles only up to rounding
         assert np.max(np.abs(tg.values - direct)) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_preserves_dtype_and_bmc(self, dtype):
+        f = spherical_function(standard_combination())
+        g = sample_sphere(lambda p: f(p).astype(dtype), 32, 16)
+        tg = dfs_double(g)
+        assert g.values.dtype == tg.values.dtype == dtype
+        assert tg.bmc_violation() == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_real_and_complex_doubling_agree(self, half_lambda, nth, seed):
+        values = np.random.default_rng(seed).normal(size=(nth + 1, 2 * half_lambda))
+        real = dfs_double(LatLonGrid(values))
+        assert real.values.dtype == np.float64
+        assert np.array_equal(real.values, dfs_double(LatLonGrid(values.astype(complex))).values)
+
     def test_rejects_odd_columns(self):
         g = LatLonGrid(np.ones((5, 6), dtype=complex))
         bad = LatLonGrid(g.values[:, :5])
         with pytest.raises(ValueError, match="even"):
             dfs_double(bad)
+
+
+class TestGridDtype:
+    @pytest.mark.parametrize("grid_type", [TorusGrid, LatLonGrid])
+    def test_real_values_are_stored_as_float64(self, grid_type):
+        assert grid_type(np.arange(16).reshape(4, 4)).values.dtype == np.float64
+        assert grid_type(np.ones((4, 4), dtype=np.float32)).values.dtype == np.float64
+
+    @pytest.mark.parametrize("grid_type", [TorusGrid, LatLonGrid])
+    def test_complex_values_stay_complex128(self, grid_type):
+        # a zero imaginary part is not scanned for and not dropped
+        assert grid_type(np.ones((4, 4), dtype=complex)).values.dtype == np.complex128
+        assert grid_type(np.ones((4, 4), dtype=np.complex64)).values.dtype == np.complex128
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    """A directory that outlives the examples of a hypothesis test."""
+    return tmp_path_factory.mktemp("dfsg")
+
+
+def dfsg_bytes(grid, directory):
+    path = directory / "g.dfsg"
+    grid_io_write(grid, path)
+    return path.read_bytes()
+
+
+@st.composite
+def torus_grids(draw):
+    """Random real or complex torus grids of even, possibly non-square, sizes."""
+    shape = (2 * draw(st.integers(1, 16)), 2 * draw(st.integers(1, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=shape)
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=shape)
+    return TorusGrid(values, bmc=draw(st.booleans()))
 
 
 class TestGridIO:
@@ -178,6 +253,50 @@ class TestGridIO:
         path = tmp_path / "n.dfsg"
         grid_io_write(TorusGrid(vals), path)
         with pytest.raises(ValueError, match="non-finite"):
+            grid_io_read(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(torus_grids())
+    def test_round_trip_property(self, io_dir, grid):
+        path = io_dir / "g.dfsg"
+        grid_io_write(grid, path)
+        back = grid_io_read(path)
+        assert back.values.dtype == np.complex128
+        assert back.bmc is grid.bmc
+        assert np.array_equal(back.values, grid.values)
+
+    @settings(max_examples=25, deadline=None)
+    @given(torus_grids())
+    def test_real_grid_writes_the_bytes_of_its_complex_cast(self, io_dir, grid):
+        real = TorusGrid(grid.values.real, bmc=grid.bmc)
+        assert real.values.dtype == np.float64
+        as_complex = TorusGrid(real.values.astype(complex), bmc=grid.bmc)
+        assert dfsg_bytes(real, io_dir) == dfsg_bytes(as_complex, io_dir)
+
+    @settings(max_examples=25, deadline=None)
+    @given(torus_grids(), st.data())
+    def test_truncated_or_extended_file_is_rejected(self, io_dir, grid, data):
+        raw = dfsg_bytes(grid, io_dir)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        path = io_dir / "bad.dfsg"
+        for broken in (raw[:cut], raw + raw[cut:cut + 1]):
+            path.write_bytes(broken)
+            with pytest.raises(ValueError):
+                grid_io_read(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(torus_grids(), st.sampled_from([(0, "4s"), (4, "<I"), (8, "<Q"), (16, "<Q")]), st.data())
+    def test_mutated_magic_version_or_dimension_is_rejected(self, io_dir, grid, field, data):
+        import struct
+
+        offset, fmt = field
+        raw = bytearray(dfsg_bytes(grid, io_dir))
+        size = struct.calcsize(fmt)
+        old = bytes(raw[offset:offset + size])
+        raw[offset:offset + size] = data.draw(st.binary(min_size=size, max_size=size).filter(lambda b: b != old))
+        path = io_dir / "bad.dfsg"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
             grid_io_read(path)
 
     def test_large_round_trip_under_a_second(self, tmp_path):

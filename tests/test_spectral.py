@@ -182,6 +182,15 @@ class TestComputeCoefficients:
         table = compute_coefficients(TorusGrid(values))
         assert np.max(np.abs(table.values - reference)) <= 1e-14 * np.max(np.abs(reference))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 32), st.integers(1, 32), st.integers(0, 2**32 - 1))
+    def test_real_grid_matches_its_complex_cast_bitwise(self, half2, half1, seed):
+        values = np.random.default_rng(seed).normal(size=(2 * half2, 2 * half1))
+        real = TorusGrid(values)
+        assert real.values.dtype == np.float64
+        cast = compute_coefficients(TorusGrid(values.astype(complex)))
+        assert np.array_equal(compute_coefficients(real).values, cast.values)
+
     def test_bmc_asymmetry_of_the_transform_is_not_erased(self):
         # the table is a plain transform of the doubled grid, so its BMC
         # symmetry holds to rounding, not exactly; C01 relies on that
@@ -295,6 +304,19 @@ class TestPartialSums:
             tracemalloc.stop()
         assert np.max(np.abs(grid.values - direct)) <= 1e-12
         assert peak <= 96 * 2**20
+
+    @settings(max_examples=25, deadline=None)
+    @given(doubled_tables(), st.sampled_from(["rectangle", "l1", "l2"]), st.data())
+    def test_folded_synthesis_is_glide_invariant(self, table, kind, data):
+        # a partial sum over the symmetrized coefficients of a doubled grid is
+        # glide invariant, on any even target grid that holds the block
+        degree = data.draw(st.integers(0, table.max_degree))
+        shape, norm = ("rectangle", "l2") if kind == "rectangle" else ("ball", kind)
+        omega = SpectralSet(shape, degree, norm)
+        pad2, pad1 = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        full = unfold_coefficients(fold_coefficients(table))
+        grid = partial_sum_grid(full, omega, 2 * (degree + 1 + pad2), 2 * (degree + 1 + pad1))
+        assert grid.bmc_violation() <= 1e-12 * np.max(np.abs(grid.values))
 
     def test_rejects_omega_beyond_table(self):
         table = cos_theta_table(16)
@@ -564,7 +586,65 @@ class TestFold:
             fold_coefficients(table)
 
 
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    """A directory that outlives the examples of a hypothesis test."""
+    return tmp_path_factory.mktemp("dfsc")
+
+
+@st.composite
+def random_tables(draw):
+    """Random complex coefficient tables of even, possibly non-square, sizes."""
+    shape = (2 * draw(st.integers(1, 16)), 2 * draw(st.integers(1, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return CoefficientTable(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def dfsc_bytes(table, directory):
+    path = directory / "c.dfsc"
+    coeff_io_write(table, path)
+    return path.read_bytes()
+
+
 class TestCoeffIO:
+    @settings(max_examples=25, deadline=None)
+    @given(random_tables())
+    def test_round_trip_property(self, io_dir, table):
+        path = io_dir / "c.dfsc"
+        coeff_io_write(table, path)
+        assert np.array_equal(coeff_io_read(path).values, table.values)
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_tables(), st.data())
+    def test_truncated_or_extended_file_is_rejected(self, io_dir, table, data):
+        raw = dfsc_bytes(table, io_dir)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        path = io_dir / "bad.dfsc"
+        for broken in (raw[:cut], raw + raw[cut:cut + 1]):
+            path.write_bytes(broken)
+            with pytest.raises(ValueError):
+                coeff_io_read(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        random_tables(),
+        st.sampled_from([(0, "4s"), (4, "<I"), (8, "<q"), (16, "<q"), (24, "<q"), (32, "<q"), (40, "B")]),
+        st.data(),
+    )
+    def test_mutated_header_field_is_rejected(self, io_dir, table, field, data):
+        # magic, version, each index bound and the normalization tag
+        import struct
+
+        offset, fmt = field
+        raw = bytearray(dfsc_bytes(table, io_dir))
+        size = struct.calcsize(fmt)
+        old = bytes(raw[offset:offset + size])
+        raw[offset:offset + size] = data.draw(st.binary(min_size=size, max_size=size).filter(lambda b: b != old))
+        path = io_dir / "bad.dfsc"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            coeff_io_read(path)
+
     def test_round_trip(self, tmp_path):
         table = compute_coefficients(dfs_double(sample_sphere(combo(), 32, 16)))
         path = tmp_path / "c.dfsc"

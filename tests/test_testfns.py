@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from math import factorial
 from numpy.testing import assert_allclose
 
@@ -66,6 +68,35 @@ class TestFNu:
         p /= np.linalg.norm(p, axis=1, keepdims=True)
         vals = eval_f_nu(spec, p)
         assert np.all(vals[p[:, 2] <= 0.3] == 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 5), st.floats(0.05, 0.95), st.one_of(st.floats(-2.0, -0.25), st.floats(0.25, 2.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_power_chain_matches_pow(self, nu, a, weight, seed):
+        rng = np.random.default_rng(seed)
+        spec = TestFunctionSpec("f_nu", nu=nu, a=a, rotation=rotation_to(rng.normal(size=3)), weight=weight)
+        p = rng.normal(size=(2000, 3))
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        t = p @ spec.axis
+        reference = weight * np.clip(t - a, 0, None) ** (nu + 1)
+        got = eval_f_nu(spec, p)
+        assert got.dtype == np.float64
+        assert np.all(got[t <= a] == 0.0)
+        assert np.all(np.abs(got - reference) <= 1e-15 * np.abs(reference))
+
+    def test_single_point_in_and_out_of_the_cap(self):
+        spec = TestFunctionSpec("f_nu", nu=2, a=0.5, weight=-2.0)
+        assert float(eval_f_nu(spec, np.array([0.0, 0.0, 1.0]))) == -2.0 * 0.5**3
+        assert float(eval_f_nu(spec, np.array([1.0, 0.0, 0.0]))) == 0.0
+
+    @pytest.mark.parametrize("nu", [-1, 2.5, np.nan])
+    def test_rejects_negative_or_fractional_order(self, nu):
+        with pytest.raises(ValueError, match="nu"):
+            TestFunctionSpec("f_nu", nu=nu)
+        with pytest.raises(ValueError, match="nu"):
+            spec_from_dict({"kind": "f_nu", "nu": nu})
 
     def test_rejects_bad_cut(self):
         with pytest.raises(ValueError, match="a must lie"):
