@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import zeta
 
 import dfsphere
 from dfsphere.analysis import (
     ErrorTableRow,
+    _riemann_zeta,
     coefficient_table_for,
     decay_report,
     error_table,
@@ -70,14 +72,22 @@ class TestZetaTailSum:
         with pytest.raises(ValueError, match="diverges"):
             zeta_tail_sum(1, 1.0, 10)
 
-    def test_import_leaves_scipy_special_unloaded(self):
-        # zeta_tail_sum imports scipy.special itself; `import dfsphere` must not
-        assert modules_loaded_by_import("scipy.special") == [False]
+    def test_riemann_zeta_matches_scipy(self):
+        s = np.concatenate([1.0 + np.geomspace(1e-6, 1.0, 30), np.linspace(2.0, 60.0, 59)])
+        ours = np.array([_riemann_zeta(v) for v in s])
+        assert_allclose(ours, zeta(s), rtol=1e-15, atol=0)
+
+    def test_riemann_zeta_closed_forms(self):
+        assert_allclose(_riemann_zeta(2.0), np.pi**2 / 6, rtol=1e-15, atol=0)
+        assert_allclose(_riemann_zeta(4.0), np.pi**4 / 90, rtol=1e-15, atol=0)
 
     def test_import_leaves_scipy_unloaded(self):
-        # the transform stays on numpy.fft: `import scipy.fft` alone takes about
-        # 0.25 s, which every `dfs` command would pay
-        assert modules_loaded_by_import("scipy", "scipy.fft") == [False, False]
+        # numpy is the only runtime dependency, and numpy.polynomial (the
+        # Gauss-Legendre nodes of sobolev_probe) loads on first use only:
+        # `import scipy.fft` alone takes about 0.25 s, and a module-level
+        # `leggauss` about 5 ms, which every `dfs` command would pay
+        loaded = modules_loaded_by_import("scipy", "scipy.special", "scipy.fft", "numpy.polynomial")
+        assert loaded == [False] * 4
 
 
 class TestFitRate:
@@ -186,11 +196,6 @@ class TestDecayReport:
             assert np.max(rep.shell_max[empty]) <= 1e-14 * largest
             assert np.min(rep.shell_max[~empty][:8]) > 1e-6 * largest
 
-    def test_cap_flags(self):
-        table = coefficient_table_for(combo(), 32, grid_size=256)
-        rep = decay_report(table, k=3, alpha=0.9, r_min=2, r_max=32, cap=1e-30)
-        assert len(rep.flagged) > 0
-
     def test_mann_kendall_matches_pair_loop(self):
         # oracle: the all-pairs loop, counting pairs i < j with
         # rescaled[j] <= rescaled[i]; the fraction must agree bit for bit
@@ -293,7 +298,8 @@ class TestSobolevProbe:
             assert 0.5 <= val / law <= 2.0
 
     def test_unresolved_panel_raises(self):
-        # QUADPACK cannot resolve sin(1/t) near 0 to the panel tolerance
+        # sin(1/t) oscillates without bound near 0: the 20- and 40-point
+        # Gauss-Legendre values of one panel disagree far past the tolerance
         from dfsphere.analysis import _panel_integral
 
         with pytest.raises(RuntimeError, match="did not converge"):
@@ -306,6 +312,12 @@ class TestSobolevProbe:
     def test_rejects_tiny_epsilon(self):
         with pytest.raises(ValueError, match="1e-8"):
             sobolev_probe([1e-3, 1e-9])
+
+    @pytest.mark.parametrize("bad", [[2.0], [3.0, 1e-2], [], [np.nan]], ids=["2", "3-then-0.01", "empty", "nan"])
+    def test_rejects_empty_non_finite_or_past_pi_half(self, bad):
+        # [2.0] used to give negative energies, [] an IndexError and [nan] a RuntimeError
+        with pytest.raises(ValueError, match="descending"):
+            sobolev_probe(bad)
 
 
 class TestUniformConvergence:

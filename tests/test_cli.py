@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dfsphere
 from dfsphere.analysis import error_table
 from dfsphere.cli import main
 from dfsphere.grids import grid_io_read
@@ -230,6 +234,14 @@ class TestVerify:
         assert report["gap"] <= report["integral_tail_bound"]
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_zeta_non_finite_alpha_exits_two(self, tmp_path, alpha, capsys):
+        # --alpha inf used to PASS with gap = bound = 0; nan wrote NaN tokens
+        out = tmp_path / "z.json"
+        assert run(["verify", "zeta", "--alpha", alpha, "--out", str(out)]) == 2
+        assert "PASS" not in capsys.readouterr().out
+        assert not out.exists()
+
     def test_bmc_symmetry(self, tmp_path):
         out = tmp_path / "b.json"
         code = run([
@@ -273,3 +285,41 @@ class TestVerify:
             main(["verify", "not-a-check"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# Runs in a fresh interpreter whose import system refuses every scipy module.
+SCIPY_BLOCKED = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
+from dfsphere.cli import main
+
+for argv in COMMANDS:
+    assert main(argv) == 0, argv
+assert "scipy" not in sys.modules
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is a test oracle only
+    commands = [
+        ["transform", "--grid", "32", "--out", "t.dfsg"],
+        ["coeffs", "--grid", "32", "--out", "c.dfsc"],
+        ["approx", "--grid", "32", "--degrees", "8", "--out", "a.dfsg"],
+        ["error-table", "--sh", "--degrees", "4,8", "--out", "e.csv"],
+        ["verify", "bmc-symmetry", "--grid", "32", "--out", "b.json"],
+        *(["verify", check, "--out", f"{check}.json"] for check in
+          ("orthogonality", "decay", "zeta", "sobolev", "hoelder")),
+    ]
+    src = os.path.dirname(os.path.dirname(dfsphere.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = SCIPY_BLOCKED.replace("COMMANDS", repr(commands))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
