@@ -81,6 +81,11 @@ class TestZetaTailSum:
         assert_allclose(_riemann_zeta(2.0), np.pi**2 / 6, rtol=1e-15, atol=0)
         assert_allclose(_riemann_zeta(4.0), np.pi**4 / 90, rtol=1e-15, atol=0)
 
+    def test_import_leaves_scipy_special_unloaded(self):
+        # zeta_tail_sum evaluates the Riemann zeta itself; `import dfsphere`
+        # must not load scipy.special
+        assert modules_loaded_by_import("scipy.special") == [False]
+
     def test_import_leaves_scipy_unloaded(self):
         # numpy is the only runtime dependency, and numpy.polynomial (the
         # Gauss-Legendre nodes of sobolev_probe) loads on first use only:
