@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dfs_coord_inverse
+from .spectral import _phases
 
 __all__ = [
     "SHCoefficients",
@@ -155,7 +156,8 @@ def sh_synthesize(coeffs, lam, theta, degrees):
 
     ``lam`` and ``theta`` broadcast against each other: a row of longitudes and
     a column of colatitudes give a grid, with Legendre tables over the
-    colatitudes only. Returns shape (len(degrees),) + the broadcast shape.
+    colatitudes only, and phases exp(i k lam) from one recurrence table over
+    k = -h .. h on the longitudes. Returns shape (len(degrees),) + the broadcast shape.
     """
     degrees = np.asarray(degrees)
     if not (degrees.ndim == 1 and degrees.size and 0 <= degrees[0] and degrees[-1] <= coeffs.degree
@@ -165,7 +167,8 @@ def sh_synthesize(coeffs, lam, theta, degrees):
     h = int(degrees[-1])
     keep = np.arange(h + 1) <= degrees[:, None]
     out = np.zeros((len(degrees),) + np.broadcast(lam, theta).shape, dtype=complex)
+    phases = _phases(lam.ravel(), np.arange(-h, h + 1))
     for k, P in _order_tables(h, np.array(np.cos(theta), ndmin=out.ndim - 1)):
         c = keep[:, abs(k):] * coeffs.values[abs(k):h + 1, k + coeffs.degree]
-        out += np.tensordot(c, P, 1) * np.exp(1j * k * lam)
+        out += np.tensordot(c, P, 1) * phases[:, k + h].reshape(lam.shape)
     return out

@@ -26,6 +26,7 @@ from dfsphere.spectral import (
     partial_sum_torus,
     unfold_coefficients,
 )
+from dfsphere.spectral import _phases
 from dfsphere.testfns import spherical_function, standard_combination
 
 
@@ -89,6 +90,16 @@ def doubled_tables(draw):
         values = values + 1j * rng.normal(size=values.shape)
     values[0], values[-1] = values[0, 0], values[-1, 0]  # constant pole rows, as sampled
     return compute_coefficients(dfs_double(LatLonGrid(values)))
+
+
+@st.composite
+def contiguous_ranges(draw):
+    """Integer ranges within |n| <= 256: any lo .. hi, or the -N/2 .. N/2 - 1 of a whole table."""
+    if draw(st.booleans()):
+        half = draw(st.integers(1, 256))
+        return np.arange(-half, half)
+    lo = draw(st.integers(-256, 256))
+    return np.arange(lo, draw(st.integers(lo, 256)) + 1)
 
 
 class TestSpectralSet:
@@ -318,6 +329,18 @@ class TestPartialSums:
         grid = partial_sum_grid(full, omega, 2 * (degree + 1 + pad2), 2 * (degree + 1 + pad1))
         assert grid.bmc_violation() <= 1e-12 * np.max(np.abs(grid.values))
 
+    def test_degree_zero_set_and_empty_angles(self):
+        # one-column phase tables sum the constant coefficient exactly; no points give shape (0,)
+        rng = np.random.default_rng(54)
+        table = CoefficientTable(rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)))
+        omega = SpectralSet("rectangle", 0)
+        lam, th = rng.uniform(-np.pi, np.pi, (2, 7))
+        assert np.all(partial_sum_torus(table, omega, lam, th) == table.coeff(0, 0))
+        value = partial_sum_torus(table, omega, lam[0], th[0])
+        assert type(value) is complex and value == table.coeff(0, 0)
+        assert partial_sum_torus(table, omega, np.empty(0), np.empty(0)).shape == (0,)
+        assert partial_sum_torus(table, None, np.empty(0), np.empty(0)).shape == (0,)
+
     def test_rejects_omega_beyond_table(self):
         table = cos_theta_table(16)
         with pytest.raises(ValueError, match="exceeds"):
@@ -327,6 +350,25 @@ class TestPartialSums:
         table = cos_theta_table(16)
         with pytest.raises(ValueError, match="full-domain"):
             partial_sum_torus(table, SpectralSet("rectangle", 1, half=True), np.zeros(1), np.zeros(1))
+
+
+class TestPhases:
+    @settings(max_examples=25, deadline=None)
+    @given(contiguous_ranges(), st.integers(0, 64), st.integers(0, 2**32 - 1))
+    def test_recurrence_matches_exp_of_outer(self, n, n_points, seed):
+        # exp(1j * outer) itself carries the argument rounding |n x| eps / 2, so the bound grows with |n|
+        x = np.random.default_rng(seed).uniform(-np.pi, np.pi, n_points)
+        got = _phases(x, n)
+        assert got.shape == (n_points, len(n))
+        # every run of 16 columns restarts from exp itself
+        np.testing.assert_array_equal(got[:, ::16], np.exp(1j * np.outer(x, n[::16])))
+        err = np.max(np.abs(got - np.exp(1j * np.outer(x, n))), initial=0.0)
+        assert err <= (4 * np.max(np.abs(n)) + 32) * np.finfo(float).eps
+
+    def test_single_column_is_exp_and_no_points_give_an_empty_table(self):
+        x = np.random.default_rng(55).uniform(-np.pi, np.pi, 9)
+        np.testing.assert_array_equal(_phases(x, np.arange(-37, -36)), np.exp(1j * (-37 * x))[:, None])
+        assert _phases(np.empty(0), np.arange(-24, 25)).shape == (0, 49)
 
 
 class TestBasis:
@@ -503,6 +545,17 @@ class TestDfsFourierSum:
             omega = SpectralSet(shape, 9, norm, half=True)
             oracle = sum(table.coeff(a, b) * basis_b(a, b, p) for a, b in zip(*omega.members()))
             assert np.max(np.abs(dfs_fourier_sum(table, omega, p) - oracle)) <= 1e-12
+
+    def test_degree_zero_set_and_no_points(self):
+        rng = np.random.default_rng(56)
+        table = CoefficientTable(rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)))
+        omega = SpectralSet("rectangle", 0, half=True)
+        p = rng.normal(size=(5, 3))
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        assert np.all(dfs_fourier_sum(table, omega, p) == table.coeff(0, 0))
+        value = dfs_fourier_sum(table, omega, p[0])
+        assert type(value) is complex and value == table.coeff(0, 0)
+        assert dfs_fourier_sum(table, SpectralSet("rectangle", 2, half=True), np.empty((0, 3))).shape == (0,)
 
     def test_rejects_full_domain_set(self):
         table = cos_theta_table(16)
