@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dfs_coord
-from .grids import sample_sphere, dfs_double
-from .spectral import SpectralSet, compute_coefficients, partial_sum_grid
+from .grids import LatLonGrid, sample_sphere, dfs_double
+from .spectral import SpectralSet, _grid_sum, compute_coefficients
 
 __all__ = [
     "ZetaTailResult",
@@ -102,7 +102,7 @@ def coefficient_table_for(f, max_degree, oversample=4, grid_size=None):
 
 
 #: one degree of :func:`truncations`
-Truncation = namedtuple("Truncation", "table reference omega torus max_error")
+Truncation = namedtuple("Truncation", "table reference omega synthesis max_error")
 
 
 def truncations(
@@ -113,10 +113,11 @@ def truncations(
     Builds one coefficient table (see :func:`coefficient_table_for`) and one
     lat-lon reference grid of ``eval_size = (n_lambda, n_theta_half)``. For
     each degree it synthesizes the symmetrized half-domain truncation on the
-    doubled evaluation grid with the inverse FFT, crops that torus grid to
-    colatitudes in [0, pi] and yields a :class:`Truncation` carrying the table,
-    the reference, the half-domain set, the torus grid and the sup error over
-    the reference.
+    reference's rows only: the colatitudes 0 .. pi of the doubled grid, by a
+    pruned inverse FFT that forms no other row. It yields a
+    :class:`Truncation` carrying the table, the reference, the half-domain set,
+    the synthesis as a :class:`~dfsphere.grids.LatLonGrid` and its sup error
+    over the reference.
     """
     degrees = list(degrees)
     if degrees != sorted(degrees):
@@ -124,12 +125,13 @@ def truncations(
     table = coefficient_table_for(f, degrees[-1], oversample, grid_size)
     reference = sample_sphere(f, *eval_size)
     nth = reference.n_theta_half
+    # torus row nth + j lies at colatitude pi j / nth; row 2 nth wraps to the theta = -pi row
+    rows = (nth + np.arange(nth + 1)) % (2 * nth)
     for h in degrees:
         omega = SpectralSet(shape, h, norm, half=True)
-        torus = partial_sum_grid(table, omega.symmetrized(), 2 * nth, reference.n_lambda)
-        upper = np.vstack([torus.values[nth:], torus.values[0:1]])
-        err = float(np.max(np.abs(upper - reference.values)))
-        yield Truncation(table, reference, omega, torus, err)
+        synthesis = LatLonGrid(_grid_sum(table, omega.symmetrized(), 2 * nth, reference.n_lambda, rows))
+        err = float(np.max(np.abs(synthesis.values - reference.values)))
+        yield Truncation(table, reference, omega, synthesis, err)
 
 
 def error_table(
@@ -160,6 +162,11 @@ def error_table(
     sh_coefficients : SHCoefficients, optional
         When given, a spherical-harmonics truncation error at each degree is
         recorded alongside (comparison baseline).
+
+    Each ``max_error`` comes from :func:`truncations`, synthesized on the
+    evaluation grid's own lat-lon rows. The spherical-harmonics sums of every
+    degree come from one :func:`~dfsphere.sh_reference.sh_synthesize` call on a
+    row of longitudes and a column of colatitudes: one matrix product.
 
     Rows are computed in order; each row's ``elapsed`` is the wall time from
     the start of the call to the end of that row, so it includes the

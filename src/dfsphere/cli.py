@@ -121,7 +121,7 @@ def cmd_approx(args):
     if n < 4 * h:
         raise ConfigError(f"grid {n} under-samples degree {h}; need >= {4 * h} (4x oversampling)")
     (t,) = analysis.truncations(f, [h], args.shape, args.norm, grid_size=n)
-    grid_io_write(t.torus, args.out)
+    grid_io_write(dfs_double(t.synthesis), args.out)
     ref = t.reference
     print(f"approx {name}: degree {h} {t.omega.shape} ({t.omega.size} terms) -> {args.out}")
     print(f"max error on {ref.n_lambda} x {ref.n_theta_half + 1} grid: {t.max_error:.6e}")

@@ -166,7 +166,11 @@ def dfs_double(g):
     The theta in [0, pi) rows are copied verbatim; the theta in (-pi, 0) rows
     are filled with the glide-reflected samples (column shift by pi requires an
     even number of columns). The theta = -pi row is the south-pole row. The
-    torus grid keeps the dtype of ``g``.
+    glide reflection maps each pole row to itself turned by half a revolution,
+    so each is averaged with that turn: a row constant in lambda, as sampled
+    pole rows are, comes through bit for bit, and any other row, such as that
+    of a truncated series, still gives an exactly BMC grid. The torus grid
+    keeps the dtype of ``g``.
     """
     if g.n_lambda % 2:
         raise ValueError("dfs_double requires an even n_lambda so the half-turn is a column shift")
@@ -175,6 +179,9 @@ def dfs_double(g):
     out = np.empty((2 * nth, g.n_lambda), dtype=g.values.dtype)
     out[nth:] = g.values[:-1]
     out[0] = g.values[-1]
+    for pole in (out[0], out[nth]):
+        pole += np.roll(pole, shift)
+        pole *= 0.5
     if nth > 1:
         # rows theta_j, j = nth-1 .. 1, turned by half a revolution in lambda
         out[1:nth, :shift] = g.values[nth - 1:0:-1, shift:]

@@ -10,7 +10,9 @@ with
 Analysis uses an FFT in longitude and Clenshaw-Curtis quadrature in colatitude;
 the equispaced-in-theta rows of a lat-lon grid are exactly the Chebyshev
 (cosine-spaced) nodes in t = cos(theta). Analysis and synthesis
-(:func:`sh_synthesize`) each build one Legendre table per order |k|.
+(:func:`sh_synthesize`) each build one Legendre table per order |k|. Synthesis
+sums each order's table over the degree into a colatitude table and then
+contracts that with one table of phases exp(i k lambda) over k.
 """
 
 from dataclasses import dataclass
@@ -154,21 +156,51 @@ def sh_partial_sums(coeffs, points, degrees):
 def sh_synthesize(coeffs, lam, theta, degrees):
     """Truncations at each requested degree (ascending) at longitudes and colatitudes.
 
-    ``lam`` and ``theta`` broadcast against each other: a row of longitudes and
-    a column of colatitudes give a grid, with Legendre tables over the
-    colatitudes only, and phases exp(i k lam) from one recurrence table over
-    k = -h .. h on the longitudes. Returns shape (len(degrees),) + the broadcast shape.
+    ``lam`` and ``theta`` broadcast against each other. The per-order Legendre
+    recurrences fill a colatitude table A[d, ..., k + h], the sum over n <=
+    degrees[d] of fhat_{n,k} Pbar_n^|k|(cos theta) (times (-1)^k for k < 0), on
+    the colatitudes only; one contraction over k with the phase table
+    exp(i k lam), k = -h .. h, from one recurrence table on the longitudes,
+    then gives the sums. A row of longitudes and a column of colatitudes give a
+    grid, and the contraction is then one matrix product. Points go in slices
+    along the leading broadcast axis, so that A and the phase table each stay
+    within 2^21 entries unless one index of that axis alone holds more.
+    Returns shape (len(degrees),) + the broadcast shape.
     """
     degrees = np.asarray(degrees)
     if not (degrees.ndim == 1 and degrees.size and 0 <= degrees[0] and degrees[-1] <= coeffs.degree
             and np.all(np.diff(degrees) >= 0)):
         raise ValueError(f"degrees must be a non-empty ascending list within 0 .. {coeffs.degree}")
-    lam = np.asarray(lam, dtype=float)
     h = int(degrees[-1])
     keep = np.arange(h + 1) <= degrees[:, None]
-    out = np.zeros((len(degrees),) + np.broadcast(lam, theta).shape, dtype=complex)
-    phases = _phases(lam.ravel(), np.arange(-h, h + 1))
-    for k, P in _order_tables(h, np.array(np.cos(theta), ndmin=out.ndim - 1)):
+    shape = np.broadcast(lam, theta).shape
+    lam = np.array(lam, dtype=float, ndmin=max(len(shape), 1))
+    t = np.array(np.cos(theta), ndmin=lam.ndim)
+    out = np.empty((len(degrees),) + (shape or (1,)), dtype=complex)
+    # entries per index of the leading axis, counted for the tables that vary along it
+    per_index = max(len(degrees) * t[0].size if len(t) > 1 else 1, lam[0].size if len(lam) > 1 else 1)
+    step = max(1, 2**21 // (per_index * (2 * h + 1)))
+    for s in range(0, out.shape[1], step):
+        rows = slice(s, s + step)
+        t_rows, lam_rows = (x[rows] if len(x) > 1 else x for x in (t, lam))
+        _synthesize_slice(out[:, rows], coeffs, keep, t_rows, lam_rows)
+    return out.reshape((len(degrees),) + shape)
+
+
+def _synthesize_slice(out, coeffs, keep, t, lam):
+    """Fill ``out`` with the sums of :func:`sh_synthesize` at colatitude cosines ``t`` and longitudes ``lam``.
+
+    A slice's tables are freed on return, before the next slice builds its own.
+    """
+    h = keep.shape[1] - 1
+    A = np.empty((2 * h + 1, len(keep)) + t.shape, dtype=complex)
+    for k, P in _order_tables(h, t):
         c = keep[:, abs(k):] * coeffs.values[abs(k):h + 1, k + coeffs.degree]
-        out += np.tensordot(c, P, 1) * phases[:, k + h].reshape(lam.shape)
-    return out
+        # two real products: a complex one would first copy P to complex
+        A[k + h].real, A[k + h].imag = np.tensordot(c.real, P, 1), np.tensordot(c.imag, P, 1)
+    A = np.moveaxis(A, 0, -1)
+    E = _phases(lam.ravel(), np.arange(-h, h + 1)).reshape(lam.shape + (2 * h + 1,))
+    if t.shape[-1] == 1:  # colatitude constant along the last axis: rows of A times E transposed
+        np.matmul(A, E.swapaxes(-1, -2), out=out[..., None, :])
+    else:
+        np.einsum("d...k,...k->d...", A, E, out=out)

@@ -305,6 +305,30 @@ def partial_sum_torus(table, omega, lam, theta):
     return _separable_sum(*_truncated_block(table, omega), lam, theta)
 
 
+def _grid_sum(table, omega, n_theta, n_lambda, rows):
+    """Rows ``rows`` of the partial Fourier sum over a full-domain set on an n_theta x n_lambda torus grid.
+
+    The block's columns alone are zero-padded to n_theta and transformed along
+    theta; the requested rows are then placed in the lambda spectrum and
+    transformed along lambda, so neither the padded 2-d spectrum nor the rows
+    left out are ever formed. No symmetry of the table is assumed. Returns an
+    array of shape (len(rows), n_lambda).
+    """
+    n1, n2, block = _truncated_block(table, omega)
+    if len(n2) > n_theta or len(n1) > n_lambda:
+        raise ValueError(
+            f"target grid {n_theta} x {n_lambda} cannot hold the {len(n2)} x {len(n1)} coefficient block"
+        )
+    block *= _alternating(n2)[:, None] * _alternating(n1)[None, :]
+    columns = np.zeros((n_theta, len(n1)), dtype=complex)
+    columns[n2 % n_theta] = block
+    # norm="forward" leaves the inverse transforms unscaled, as the sum is
+    columns = np.fft.ifft(columns, axis=0, norm="forward")[rows]
+    spec = np.zeros((columns.shape[0], n_lambda), dtype=complex)
+    spec[:, n1 % n_lambda] = columns
+    return np.fft.ifft(spec, axis=1, norm="forward")
+
+
 def partial_sum_grid(table, omega, n_theta, n_lambda):
     """Partial Fourier sum evaluated on an equispaced torus grid via inverse FFT.
 
@@ -315,15 +339,7 @@ def partial_sum_grid(table, omega, n_theta, n_lambda):
     """
     if omega is not None and omega.half:
         raise ValueError("partial_sum_grid expects a full-domain spectral set")
-    n1, n2, block = _truncated_block(table, omega)
-    if len(n2) > n_theta or len(n1) > n_lambda:
-        raise ValueError(
-            f"target grid {n_theta} x {n_lambda} cannot hold the {len(n2)} x {len(n1)} coefficient block"
-        )
-    block *= _alternating(n2)[:, None] * _alternating(n1)[None, :]
-    spec = np.zeros((n_theta, n_lambda), dtype=complex)
-    spec[np.ix_(n2 % n_theta, n1 % n_lambda)] = block
-    return TorusGrid(np.fft.ifft2(spec) * (n_theta * n_lambda))
+    return TorusGrid(_grid_sum(table, omega, n_theta, n_lambda, slice(None)))
 
 
 def basis_e(n1, n2, lam, theta):

@@ -9,10 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dfsphere
-from dfsphere.analysis import error_table
+from dfsphere.analysis import coefficient_table_for, error_table
 from dfsphere.cli import main
 from dfsphere.grids import grid_io_read
-from dfsphere.spectral import coeff_io_read
+from dfsphere.spectral import SpectralSet, coeff_io_read, partial_sum_grid
 from dfsphere.testfns import preset, spherical_function
 
 
@@ -81,6 +81,22 @@ class TestApprox:
         assert code == 0
         assert "max error" in capsys.readouterr().out
         assert grid_io_read(out).n_lambda == 512
+
+    @pytest.mark.parametrize("shape", [["rectangle"], ["ball", "l1"]], ids=["rectangle", "ball-l1"])
+    def test_output_is_doubled_latlon_synthesis(self, tmp_path, shape):
+        # the written grid is the lat-lon synthesis doubled by the glide
+        # reflection: exactly BMC, and the torus partial sum to rounding
+        out = tmp_path / "a.dfsg"
+        flags = ["--shape", shape[0]] + (["--norm", shape[1]] if len(shape) > 1 else [])
+        argv = ["approx", "--preset", "f3-combo", "--grid", "64", "--degrees", "12", *flags, "--out", str(out)]
+        assert run(argv) == 0
+        grid = grid_io_read(out)
+        assert grid.values.shape == (512, 512)
+        assert grid.bmc is True
+        assert grid.bmc_violation() == 0.0
+        table = coefficient_table_for(spherical_function(preset("f3-combo")), 12, grid_size=64)
+        expected = partial_sum_grid(table, SpectralSet(shape[0], 12, *shape[1:]), 512, 512).values
+        assert np.max(np.abs(grid.values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_undersampled_grid_exits_two(self, tmp_path):
         code = run([

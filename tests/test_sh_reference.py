@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,51 @@ class TestEvaluate:
         assert np.max(np.abs(transposed - grid.transpose(0, 2, 1))) <= 1e-13
         points = dfs_coord(*np.meshgrid(lam, theta))
         assert np.max(np.abs(grid - sh_partial_sums(co, points, degrees))) <= 1e-13
+
+    def test_scalar_single_degree_and_transposed_grid(self):
+        # scalar angles give shape (len(degrees),); degree 0 sums only the constant
+        co = random_triangle(12, 3)
+        for degrees in ([0], [5], [0, 12]):
+            value = sh_synthesize(co, 0.7, 2.1, degrees)
+            assert value.shape == (len(degrees),)
+            assert np.max(np.abs(value - shell_partial_sums(co, dfs_coord(0.7, 2.1), degrees))) <= 1e-13
+        assert np.all(sh_synthesize(co, [0.1, 3.0], [0.5, 2.0], [0]) == co.coeff(0, 0) / np.sqrt(4 * np.pi))
+        # a column of longitudes and a row of colatitudes
+        lam = -np.pi + np.pi * np.arange(10) / 5
+        theta = np.pi * np.arange(7) / 6
+        transposed = sh_synthesize(co, lam[:, None], theta, [0, 5, 12])
+        oracle = shell_partial_sums(co, dfs_coord(lam[:, None], theta[None, :]), [0, 5, 12])
+        assert np.max(np.abs(transposed - oracle)) <= 1e-13
+
+    def test_slice_boundary_cuts_the_points(self):
+        # at h = 12 and three degrees a slice holds 2^21 // (3 * 25) = 27962
+        # points, so these 30000 go in two slices
+        co = random_triangle(12, 4)
+        p = self.sphere_points(30000, seed=12)
+        degrees = [0, 6, 12]
+        assert np.max(np.abs(sh_partial_sums(co, p, degrees) - shell_partial_sums(co, p, degrees))) <= 1e-13
+
+    def test_grid_and_points_in_bounded_memory(self):
+        # h = 24 at the 512 x 257 grid: given as its 131584 points, A goes in
+        # slices of 27 rows (unsliced, it alone would take 310 MB); given as a
+        # row and a column, A spans the 257 colatitudes only
+        co = random_triangle(24, 5)
+        lam = -np.pi + np.pi * np.arange(512) / 256
+        theta = np.pi * np.arange(257) / 256
+        degrees = [8, 16, 24]
+
+        def traced(call, *args):
+            tracemalloc.start()
+            try:
+                return call(co, *args, degrees), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grid, grid_peak = traced(sh_synthesize, lam, theta[:, None])
+        scattered, points_peak = traced(sh_partial_sums, dfs_coord(*np.meshgrid(lam, theta)))
+        assert np.max(np.abs(scattered - grid)) <= 1e-13
+        assert points_peak <= 96 * 2**20
+        assert grid_peak <= 12.8 * 2**20
 
     @pytest.mark.parametrize("degrees", [[], [-1], [8, 4], [13]], ids=["empty", "negative", "descending", "above-bound"])
     def test_rejects_bad_degree_list(self, degrees):

@@ -26,7 +26,7 @@ from dfsphere.spectral import (
     partial_sum_torus,
     unfold_coefficients,
 )
-from dfsphere.spectral import _phases
+from dfsphere.spectral import _grid_sum, _phases
 from dfsphere.testfns import spherical_function, standard_combination
 
 
@@ -51,6 +51,17 @@ def fft2_reference(values):
     N2, N1 = values.shape
     table = np.fft.fftshift(np.fft.fft2(values)) / (N1 * N2)
     return table * alternating(N2)[:, None] * alternating(N1)[None, :]
+
+
+def ifft2_synthesis(table, omega, n_theta, n_lambda):
+    """Reference grid synthesis: the members placed in a zero n_theta x n_lambda spectrum, then one ifft2."""
+    n1, n2 = table.n1_values, table.n2_values
+    inside = np.ones(table.values.shape, bool) if omega is None else omega.contains(n1[None, :], n2[:, None])
+    j, k = np.nonzero(inside)
+    spec = np.zeros((n_theta, n_lambda), dtype=complex)
+    # the grids start at -pi in both angles
+    spec[n2[j] % n_theta, n1[k] % n_lambda] = table.values[j, k] * (-1.0) ** (n1[k] + n2[j])
+    return np.fft.ifft2(spec) * (n_theta * n_lambda)
 
 
 def full_table_mirror(values):
@@ -280,6 +291,31 @@ class TestPartialSums:
         grid = partial_sum_grid(table, omega, n_theta + 2 * pad2, n_lambda + 2 * pad1)
         direct = partial_sum_torus(table, omega, grid.lambdas[None, :], grid.thetas[:, None])
         assert np.max(np.abs(grid.values - direct)) <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 10), st.integers(1, 10), st.sampled_from(["rectangle", "l1", "l2", None]),
+        st.integers(0, 9), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_synthesis_matches_full_ifft2(self, half2, half1, kind, degree, pad2, pad1, seed):
+        # the all-rows synthesis against one full ifft2 of the padded spectrum,
+        # and the lat-lon rows against the crop of the all-rows grid
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(2 * half2, 2 * half1)) + 1j * rng.normal(size=(2 * half2, 2 * half1))
+        table = CoefficientTable(vals)
+        if kind is None:
+            omega, (n_theta, n_lambda) = None, vals.shape
+        else:
+            shape, norm = ("rectangle", "l2") if kind == "rectangle" else ("ball", kind)
+            omega = SpectralSet(shape, min(degree, table.max_degree), norm)
+            n_theta = n_lambda = 2 * omega.degree + 2
+        n_theta, n_lambda = n_theta + 2 * pad2, n_lambda + 2 * pad1
+        tol = 1e-13 * np.max(np.abs(vals))
+        grid = partial_sum_grid(table, omega, n_theta, n_lambda).values
+        assert np.max(np.abs(grid - ifft2_synthesis(table, omega, n_theta, n_lambda))) <= tol
+        nth = n_theta // 2
+        latlon = _grid_sum(table, omega, n_theta, n_lambda, (nth + np.arange(nth + 1)) % n_theta)
+        assert np.max(np.abs(latlon - np.vstack([grid[nth:], grid[:1]]))) <= tol
 
     def test_whole_table_and_scalar_match_termwise_sum(self):
         # oracle: the series summed term by term over every stored index
