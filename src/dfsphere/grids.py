@@ -32,6 +32,11 @@ GRID_MAGIC = b"DFSG"
 GRID_VERSION = 1
 
 
+def _periodic_nodes(n):
+    """The n equispaced nodes -pi + 2 pi k / n, k = 0 .. n - 1, of a full period."""
+    return -np.pi + 2.0 * np.pi * np.arange(n) / n
+
+
 def _sample_array(values):
     """Contiguous float64 samples when ``values`` is real, complex128 otherwise."""
     return np.ascontiguousarray(values, dtype=float if np.isrealobj(values) else complex)
@@ -71,11 +76,11 @@ class TorusGrid:
 
     @property
     def lambdas(self):
-        return -np.pi + 2.0 * np.pi * np.arange(self.n_lambda) / self.n_lambda
+        return _periodic_nodes(self.n_lambda)
 
     @property
     def thetas(self):
-        return -np.pi + 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+        return _periodic_nodes(self.n_theta)
 
     def glide_image(self):
         """Grid with the glide reflection applied as an index permutation."""
@@ -109,7 +114,7 @@ class LatLonGrid:
 
     @property
     def lambdas(self):
-        return -np.pi + 2.0 * np.pi * np.arange(self.n_lambda) / self.n_lambda
+        return _periodic_nodes(self.n_lambda)
 
     @property
     def thetas(self):
@@ -143,7 +148,7 @@ def sample_sphere(f, n_lambda, n_theta_half):
         raise ValueError(f"n_lambda must be even and >= 2, got {n_lambda}")
     if n_theta_half < 1:
         raise ValueError(f"n_theta_half must be >= 1, got {n_theta_half}")
-    lam = -np.pi + 2.0 * np.pi * np.arange(n_lambda) / n_lambda
+    lam = _periodic_nodes(n_lambda)
     theta = np.pi * np.arange(1, n_theta_half) / n_theta_half
     interior = np.empty((0, n_lambda))
     if n_theta_half > 1:

@@ -9,10 +9,10 @@ with
 
 Analysis uses an FFT in longitude and Clenshaw-Curtis quadrature in colatitude;
 the equispaced-in-theta rows of a lat-lon grid are exactly the Chebyshev
-(cosine-spaced) nodes in t = cos(theta). Analysis and synthesis
-(:func:`sh_synthesize`) each build one Legendre table per order |k|. Synthesis
-sums each order's table over the degree into a colatitude table and then
-contracts that with one table of phases exp(i k lambda) over k.
+(cosine-spaced) nodes in t = cos(theta). Analysis and synthesis serve the
+orders k and -k with one Legendre table and one product, Pbar_n^-k =
+(-1)^k Pbar_n^k being a sign on a column. Synthesis contracts the colatitude
+table so built with a table of phases exp(i k lambda) over k.
 """
 
 from dataclasses import dataclass
@@ -63,15 +63,6 @@ def legendre_table(h, k, t):
             )
             out[n - k] = a * t * out[n - k - 1] - b * out[n - k - 2]
     return out
-
-
-def _order_tables(h, t):
-    """(k, P) and (-k, (-1)^k P) for k = 0 .. h, P = legendre_table(h, k, t): one recurrence per |k|."""
-    for k in range(h + 1):
-        P = legendre_table(h, k, t)
-        yield k, P
-        if k:
-            yield -k, (-1.0) ** k * P
 
 
 def clenshaw_curtis_weights(n):
@@ -140,67 +131,71 @@ def sh_analyze(grid, h):
     # starts at lambda = -pi, hence the (-1)^k factor relative to the raw FFT.
     ghat = np.fft.fft(grid.values, axis=1) * (2.0 * np.pi / nlam)
     values = np.zeros((h + 1, 2 * h + 1), dtype=complex)
-    for k, P in _order_tables(h, np.cos(grid.thetas)):
-        values[abs(k):, k + h] = P @ (w * ghat[:, k % nlam] * (-1.0) ** (k % 2))
+    t = np.cos(grid.thetas)
+    for k in range(h + 1):
+        # orders k and -k: the (-1)^k of the grid origin, times (-1)^k of Pbar_n^-k for -k
+        rhs = ghat[:, [k, -k]] * (w[:, None] * [(-1.0) ** k, 1.0])
+        values[k:, [h + k, h - k]] = legendre_table(h, k, t) @ rhs
     return SHCoefficients(degree=h, values=values)
+
+
+def _truncation_mask(coeffs, degrees):
+    """keep[n, d] = n <= degrees[d] for n = 0 .. degrees[-1]; degrees must ascend within the store."""
+    degrees = np.asarray(degrees)
+    if not (degrees.ndim == 1 and degrees.size and 0 <= degrees[0] and degrees[-1] <= coeffs.degree
+            and np.all(np.diff(degrees) >= 0)):
+        raise ValueError(f"degrees must be a non-empty ascending list within 0 .. {coeffs.degree}")
+    return np.arange(degrees[-1] + 1)[:, None] <= degrees
+
+
+def _colatitude_table(coeffs, keep, t):
+    """A[k + h, d, j] = sum over n <= degrees[d] of fhat_{n,k} Pbar_n^k(t[j]), k = -h .. h.
+
+    ``keep`` is the :func:`_truncation_mask` of the degrees, h their largest.
+    Each Legendre table serves the orders k and -k in one real product; a
+    complex one would first copy the table to complex.
+    """
+    h = len(keep) - 1
+    A = np.empty((2 * h + 1, keep.shape[1], len(t)), dtype=complex)
+    for k in range(h + 1):
+        # columns k and -k, with Pbar_n^-k = (-1)^k Pbar_n^k as a sign on the -k column
+        pair = coeffs.values[k:h + 1, [coeffs.degree + k, coeffs.degree - k]] * [1.0, (-1.0) ** k]
+        c = np.ascontiguousarray(keep[k:, :, None] * pair[:, None, :])  # c[n, d, (k, -k)]
+        sums = np.tensordot(legendre_table(h, k, t), c.view(float), (0, 0)).view(complex)
+        A[h + k], A[h - k] = sums[:, :, 0].T, sums[:, :, 1].T
+    return A
+
+
+def sh_synthesize(coeffs, lam, theta, degrees):
+    """Truncations at each requested degree (ascending) on the grid of 1-D longitudes and colatitudes.
+
+    The colatitude table (:func:`_colatitude_table`) contracted over k with the
+    phases exp(i k lam), k = -h .. h: one matrix product. Returns shape
+    (len(degrees), len(theta), len(lam)).
+    """
+    if np.ndim(lam) != 1 or np.ndim(theta) != 1:
+        raise ValueError(f"longitudes and colatitudes must be 1-d, got {np.shape(lam)} and {np.shape(theta)}")
+    keep = _truncation_mask(coeffs, degrees)
+    h = len(keep) - 1
+    return np.tensordot(_colatitude_table(coeffs, keep, np.cos(theta)), _phases(lam, np.arange(-h, h + 1)), (0, 1))
 
 
 def sh_partial_sums(coeffs, points, degrees):
     """Truncations at each requested degree (ascending) at sphere points, shape (..., 3).
 
-    Returns one array per entry of ``degrees``, stacked along the first axis.
+    Points go in slices whose colatitude table holds at most 2^21 entries; one
+    ``einsum`` contracts it with the slice's phases. Returns shape
+    (len(degrees),) + points.shape[:-1].
     """
-    return sh_synthesize(coeffs, *dfs_coord_inverse(points), degrees)
-
-
-def sh_synthesize(coeffs, lam, theta, degrees):
-    """Truncations at each requested degree (ascending) at longitudes and colatitudes.
-
-    ``lam`` and ``theta`` broadcast against each other. The per-order Legendre
-    recurrences fill a colatitude table A[d, ..., k + h], the sum over n <=
-    degrees[d] of fhat_{n,k} Pbar_n^|k|(cos theta) (times (-1)^k for k < 0), on
-    the colatitudes only; one contraction over k with the phase table
-    exp(i k lam), k = -h .. h, from one recurrence table on the longitudes,
-    then gives the sums. A row of longitudes and a column of colatitudes give a
-    grid, and the contraction is then one matrix product. Points go in slices
-    along the leading broadcast axis, so that A and the phase table each stay
-    within 2^21 entries unless one index of that axis alone holds more.
-    Returns shape (len(degrees),) + the broadcast shape.
-    """
-    degrees = np.asarray(degrees)
-    if not (degrees.ndim == 1 and degrees.size and 0 <= degrees[0] and degrees[-1] <= coeffs.degree
-            and np.all(np.diff(degrees) >= 0)):
-        raise ValueError(f"degrees must be a non-empty ascending list within 0 .. {coeffs.degree}")
-    h = int(degrees[-1])
-    keep = np.arange(h + 1) <= degrees[:, None]
-    shape = np.broadcast(lam, theta).shape
-    lam = np.array(lam, dtype=float, ndmin=max(len(shape), 1))
-    t = np.array(np.cos(theta), ndmin=lam.ndim)
-    out = np.empty((len(degrees),) + (shape or (1,)), dtype=complex)
-    # entries per index of the leading axis, counted for the tables that vary along it
-    per_index = max(len(degrees) * t[0].size if len(t) > 1 else 1, lam[0].size if len(lam) > 1 else 1)
-    step = max(1, 2**21 // (per_index * (2 * h + 1)))
-    for s in range(0, out.shape[1], step):
-        rows = slice(s, s + step)
-        t_rows, lam_rows = (x[rows] if len(x) > 1 else x for x in (t, lam))
-        _synthesize_slice(out[:, rows], coeffs, keep, t_rows, lam_rows)
-    return out.reshape((len(degrees),) + shape)
-
-
-def _synthesize_slice(out, coeffs, keep, t, lam):
-    """Fill ``out`` with the sums of :func:`sh_synthesize` at colatitude cosines ``t`` and longitudes ``lam``.
-
-    A slice's tables are freed on return, before the next slice builds its own.
-    """
-    h = keep.shape[1] - 1
-    A = np.empty((2 * h + 1, len(keep)) + t.shape, dtype=complex)
-    for k, P in _order_tables(h, t):
-        c = keep[:, abs(k):] * coeffs.values[abs(k):h + 1, k + coeffs.degree]
-        # two real products: a complex one would first copy P to complex
-        A[k + h].real, A[k + h].imag = np.tensordot(c.real, P, 1), np.tensordot(c.imag, P, 1)
-    A = np.moveaxis(A, 0, -1)
-    E = _phases(lam.ravel(), np.arange(-h, h + 1)).reshape(lam.shape + (2 * h + 1,))
-    if t.shape[-1] == 1:  # colatitude constant along the last axis: rows of A times E transposed
-        np.matmul(A, E.swapaxes(-1, -2), out=out[..., None, :])
-    else:
-        np.einsum("d...k,...k->d...", A, E, out=out)
+    keep = _truncation_mask(coeffs, degrees)
+    h = len(keep) - 1
+    lam, theta = dfs_coord_inverse(points)
+    shape = np.shape(lam)
+    lam, t = np.ravel(lam), np.cos(np.ravel(theta))
+    out = np.empty((keep.shape[1], lam.size), dtype=complex)
+    step = max(1, 2**21 // (keep.shape[1] * (2 * h + 1)))
+    for s in range(0, lam.size, step):
+        # no name holds a slice's tables, so they are freed before the next slice builds its own
+        np.einsum("kdp,pk->dp", _colatitude_table(coeffs, keep, t[s : s + step]),
+                  _phases(lam[s : s + step], np.arange(-h, h + 1)), out=out[:, s : s + step])
+    return out.reshape(out.shape[:1] + shape)

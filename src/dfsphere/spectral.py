@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dfs_coord, dfs_coord_inverse
-from .grids import TorusGrid
+from .grids import TorusGrid, _periodic_nodes
 
 __all__ = [
     "CoefficientTable",
@@ -56,6 +56,11 @@ def _alternating(n):
     return np.where(np.asarray(n) % 2 == 0, 1.0, -1.0)
 
 
+def _centered(n):
+    """The centered index range -n/2 .. n/2 - 1 of an even table side n."""
+    return np.arange(-(n // 2), n // 2)
+
+
 @dataclass
 class CoefficientTable:
     """Centered table of Fourier coefficients.
@@ -76,13 +81,11 @@ class CoefficientTable:
 
     @property
     def n1_values(self):
-        n1 = self.values.shape[1]
-        return np.arange(-(n1 // 2), n1 // 2)
+        return _centered(self.values.shape[1])
 
     @property
     def n2_values(self):
-        n2 = self.values.shape[0]
-        return np.arange(-(n2 // 2), n2 // 2)
+        return _centered(self.values.shape[0])
 
     @property
     def max_degree(self):
@@ -134,8 +137,7 @@ class FoldedCoefficientTable:
 
     @property
     def n1_values(self):
-        n1 = self.values.shape[1]
-        return np.arange(-(n1 // 2), n1 // 2)
+        return _centered(self.values.shape[1])
 
     @property
     def n2_values(self):
@@ -235,10 +237,13 @@ def compute_coefficients(grid):
 
 
 def _truncated_block(table, omega):
-    """(n1, n2, block) with block[j, k] = c_(n1[k], n2[j]) for members of ``omega``, else 0.
+    """(n1, n2, block) with block[j, k] the coefficient of exp(i (n1[k] x1 + n2[j] x2)) in the sum over ``omega``.
 
-    The index ranges are the square |n1|, |n2| <= degree; ``omega=None`` gives
-    a copy of the whole table.
+    The index ranges are the square |n1|, |n2| <= degree; block[j, k] =
+    c_(n1[k], n2[j]) on members and 0 elsewhere. A half-domain set gives the
+    folded series sum c_n e_n: as e_n pairs exp(i <n, x>) with (-1)^{n1}
+    exp(i <M(n), x>), rows -j are then (-1)^{n1} times rows j. ``omega=None``
+    gives a copy of the whole table.
     """
     if omega is None:
         return table.n1_values, table.n2_values, table.values.copy()
@@ -251,6 +256,8 @@ def _truncated_block(table, omega):
     n = np.arange(-omega.degree, omega.degree + 1)
     block = table.values[np.ix_(n + N2 // 2, n + N1 // 2)]
     block[~omega.contains(*np.meshgrid(n, n))] = 0.0
+    if omega.half:
+        block[: omega.degree] = _alternating(n) * block[: omega.degree : -1]
     return n, n, block
 
 
@@ -306,13 +313,13 @@ def partial_sum_torus(table, omega, lam, theta):
 
 
 def _grid_sum(table, omega, n_theta, n_lambda, rows):
-    """Rows ``rows`` of the partial Fourier sum over a full-domain set on an n_theta x n_lambda torus grid.
+    """Rows ``rows`` of the sum of :func:`_truncated_block` on an n_theta x n_lambda torus grid.
 
     The block's columns alone are zero-padded to n_theta and transformed along
     theta; the requested rows are then placed in the lambda spectrum and
     transformed along lambda, so neither the padded 2-d spectrum nor the rows
-    left out are ever formed. No symmetry of the table is assumed. Returns an
-    array of shape (len(rows), n_lambda).
+    left out are ever formed. A half-domain set gives the folded series; no
+    symmetry of the table is assumed. Returns shape (len(rows), n_lambda).
     """
     n1, n2, block = _truncated_block(table, omega)
     if len(n2) > n_theta or len(n1) > n_lambda:
@@ -398,7 +405,7 @@ def quadrature_rule(n_quad):
     """
     if n_quad < 4:
         raise ValueError("n_quad must be at least 4")
-    lam = -np.pi + 2.0 * np.pi * np.arange(n_quad) / n_quad
+    lam = _periodic_nodes(n_quad)
     theta = (np.arange(n_quad) + 0.5) * np.pi / n_quad
     weight = (2.0 * np.pi / n_quad) * (np.pi / n_quad)
     return lam, theta, weight
@@ -439,16 +446,13 @@ def dfs_fourier_sum(table, omega, points):
     """Partial sum of the folded series at sphere points.
 
     sum over n in omega (a half-domain set) of c_n b_n(xi), with coefficients
-    read from a full coefficient table. As e_n pairs exp(i <n, x>) with
-    (-1)^{n1} exp(i <M(n), x>), this is the torus partial sum of the block with
-    c_(n1, j) in rows j and -j (times (-1)^{n1}), evaluated by the separable
-    kernel at the inverse coordinates.
+    read from a full coefficient table: the folded block of
+    :func:`_truncated_block`, evaluated by the separable kernel at the inverse
+    coordinates.
     """
     if not omega.half:
         raise ValueError("dfs_fourier_sum expects a half-domain spectral set")
-    n1, n2, block = _truncated_block(table, omega)
-    block[: omega.degree] = _alternating(n1) * block[: omega.degree : -1]
-    return _separable_sum(n1, n2, block, *dfs_coord_inverse(points))
+    return _separable_sum(*_truncated_block(table, omega), *dfs_coord_inverse(points))
 
 
 def _mirror_residual(values):
@@ -459,7 +463,7 @@ def _mirror_residual(values):
     for rows n2 and -n2, comparing these rows with their mirrors covers the table.
     """
     h2, N1 = values.shape[0] // 2, values.shape[1]
-    mirrored = _alternating(np.arange(-(N1 // 2), N1 // 2))[None, :] * values[h2::-1]
+    mirrored = _alternating(_centered(N1))[None, :] * values[h2::-1]
     resid = np.maximum(np.max(np.abs(values[h2:] - mirrored[:h2])), np.max(np.abs(values[0] - mirrored[h2])))
     scale = np.max(np.abs(values))
     return mirrored, 0.0 if scale == 0 else float(resid / scale)

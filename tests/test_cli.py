@@ -290,6 +290,13 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["n_violations"] == 0
 
+    @pytest.mark.parametrize("alpha", ["1.5", "nan"])
+    def test_hoelder_alpha_outside_unit_interval_exits_two(self, tmp_path, alpha, capsys):
+        out = tmp_path / "h.json"
+        assert run(["verify", "hoelder", "--alpha", alpha, "--out", str(out)]) == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decay(self, tmp_path):
         out = tmp_path / "d.json"
         assert run(["verify", "decay", "--preset", "f3-combo", "--out", str(out)]) == 0

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
-from dfsphere.geometry import dfs_coord, dfs_coord_inverse
-from dfsphere.grids import sample_sphere
+from dfsphere.geometry import dfs_coord
+from dfsphere.grids import LatLonGrid, sample_sphere
 from dfsphere.sh_reference import (
     SHCoefficients,
     clenshaw_curtis_weights,
@@ -50,6 +50,19 @@ def shell_partial_sums(coeffs, points, degrees):
         for i, n in enumerate(range(abs(k), h + 1)):
             shells[n] += coeffs.coeff(n, k) * P[i] * phase
     return np.cumsum(shells, axis=0)[degrees]
+
+
+def per_order_analysis(grid, h):
+    """Oracle: sh_analyze order by order, one product per k = -h .. h with its own (-1)^k P for k < 0."""
+    w = clenshaw_curtis_weights(grid.n_theta_half)
+    ghat = np.fft.fft(grid.values, axis=1) * (2.0 * np.pi / grid.n_lambda)
+    values = np.zeros((h + 1, 2 * h + 1), dtype=complex)
+    for k in range(-h, h + 1):
+        P = legendre_table(h, abs(k), np.cos(grid.thetas))
+        if k < 0:
+            P = (-1.0) ** k * P
+        values[abs(k):, k + h] = P @ (w * ghat[:, k % grid.n_lambda] * (-1.0) ** (k % 2))
+    return values
 
 
 def random_triangle(h, seed):
@@ -131,6 +144,17 @@ class TestAnalyze:
         g = sample_sphere(lambda p: np.asarray(p)[..., 2], 16, 8)
         with pytest.raises(ValueError, match="under-resolves"):
             sh_analyze(g, h=12)
+
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_matches_per_order_loop(self, complex_values):
+        rng = np.random.default_rng(8)
+        for n_lambda, nth, h in [(32, 16, 7), (50, 24, 11), (64, 50, 24)]:
+            values = rng.normal(size=(nth + 1, n_lambda))
+            if complex_values:
+                values = values + 1j * rng.normal(size=values.shape)
+            co = sh_analyze(LatLonGrid(values), h)
+            oracle = per_order_analysis(LatLonGrid(values), h)
+            assert np.max(np.abs(co.values - oracle)) <= 1e-15 * np.max(np.abs(oracle))
 
     def test_conjugate_symmetry_for_real_function(self):
         f = spherical_function(preset("f3-combo"))
@@ -225,7 +249,6 @@ class TestEvaluate:
         for seed in range(3):
             co = random_triangle(12, seed)
             oracle = shell_partial_sums(co, p, degrees)
-            assert np.max(np.abs(sh_synthesize(co, *dfs_coord_inverse(p), degrees) - oracle)) <= 1e-13
             assert np.max(np.abs(sh_partial_sums(co, p, degrees) - oracle)) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
@@ -234,33 +257,32 @@ class TestEvaluate:
         st.integers(0, 2), st.integers(0, 2**32 - 1),
     )
     def test_grid_call_matches_points(self, half_lambda, n_theta_half, degrees, extra, seed):
-        # a row of longitudes and a column of colatitudes against the same
-        # grid given as sphere points
+        # the grid of longitudes and colatitudes against the same grid given
+        # as sphere points
         degrees = sorted(degrees)
         co = random_triangle(degrees[-1] + extra, seed)
         lam = -np.pi + np.pi * np.arange(2 * half_lambda) / half_lambda
         theta = np.pi * np.arange(n_theta_half + 1) / n_theta_half
-        grid = sh_synthesize(co, lam, theta[:, None], degrees)
+        grid = sh_synthesize(co, lam, theta, degrees)
         assert grid.shape == (len(degrees), n_theta_half + 1, 2 * half_lambda)
-        transposed = sh_synthesize(co, lam[:, None], theta, degrees)
-        assert np.max(np.abs(transposed - grid.transpose(0, 2, 1))) <= 1e-13
         points = dfs_coord(*np.meshgrid(lam, theta))
         assert np.max(np.abs(grid - sh_partial_sums(co, points, degrees))) <= 1e-13
 
-    def test_scalar_single_degree_and_transposed_grid(self):
-        # scalar angles give shape (len(degrees),); degree 0 sums only the constant
+    def test_degree_zero_and_single_degree(self):
+        # on the grid call and at points alike; degree 0 sums only the constant
         co = random_triangle(12, 3)
-        for degrees in ([0], [5], [0, 12]):
-            value = sh_synthesize(co, 0.7, 2.1, degrees)
-            assert value.shape == (len(degrees),)
-            assert np.max(np.abs(value - shell_partial_sums(co, dfs_coord(0.7, 2.1), degrees))) <= 1e-13
-        assert np.all(sh_synthesize(co, [0.1, 3.0], [0.5, 2.0], [0]) == co.coeff(0, 0) / np.sqrt(4 * np.pi))
-        # a column of longitudes and a row of colatitudes
         lam = -np.pi + np.pi * np.arange(10) / 5
         theta = np.pi * np.arange(7) / 6
-        transposed = sh_synthesize(co, lam[:, None], theta, [0, 5, 12])
-        oracle = shell_partial_sums(co, dfs_coord(lam[:, None], theta[None, :]), [0, 5, 12])
-        assert np.max(np.abs(transposed - oracle)) <= 1e-13
+        points = dfs_coord(*np.meshgrid(lam, theta))
+        for degrees in ([0], [5], [0, 12]):
+            oracle = shell_partial_sums(co, points, degrees)
+            assert np.max(np.abs(sh_synthesize(co, lam, theta, degrees) - oracle)) <= 1e-13
+            assert np.max(np.abs(sh_partial_sums(co, points, degrees) - oracle)) <= 1e-13
+        constant = co.coeff(0, 0) / np.sqrt(4 * np.pi)
+        assert np.all(sh_synthesize(co, [0.1, 3.0], [0.5, 2.0], [0]) == constant)
+        assert np.all(sh_partial_sums(co, points, [0]) == constant)
+        with pytest.raises(ValueError, match="1-d"):
+            sh_synthesize(co, lam, theta[:, None], [0])
 
     def test_slice_boundary_cuts_the_points(self):
         # at h = 12 and three degrees a slice holds 2^21 // (3 * 25) = 27962
@@ -272,8 +294,8 @@ class TestEvaluate:
 
     def test_grid_and_points_in_bounded_memory(self):
         # h = 24 at the 512 x 257 grid: given as its 131584 points, A goes in
-        # slices of 27 rows (unsliced, it alone would take 310 MB); given as a
-        # row and a column, A spans the 257 colatitudes only
+        # slices of 14266 points (unsliced, it alone would take 310 MB); given
+        # as longitudes and colatitudes, A spans the 257 colatitudes only
         co = random_triangle(24, 5)
         lam = -np.pi + np.pi * np.arange(512) / 256
         theta = np.pi * np.arange(257) / 256
@@ -286,7 +308,7 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
 
-        grid, grid_peak = traced(sh_synthesize, lam, theta[:, None])
+        grid, grid_peak = traced(sh_synthesize, lam, theta)
         scattered, points_peak = traced(sh_partial_sums, dfs_coord(*np.meshgrid(lam, theta)))
         assert np.max(np.abs(scattered - grid)) <= 1e-13
         assert points_peak <= 96 * 2**20

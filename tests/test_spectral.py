@@ -26,7 +26,8 @@ from dfsphere.spectral import (
     partial_sum_torus,
     unfold_coefficients,
 )
-from dfsphere.spectral import _grid_sum, _phases
+from dfsphere.analysis import truncations
+from dfsphere.spectral import _grid_sum, _phases, _truncated_block
 from dfsphere.testfns import spherical_function, standard_combination
 
 
@@ -608,6 +609,42 @@ class TestDfsFourierSum:
         points = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
         with pytest.raises(ValueError, match="unit sphere"):
             evaluate(points)
+
+
+class TestFoldedBlock:
+    @pytest.mark.parametrize("shape, norm", [("rectangle", "l2"), ("ball", "l1"), ("ball", "l2")])
+    def test_half_domain_block_is_glide_symmetric(self, shape, norm):
+        # rows -j are (-1)^{n1} times rows j, bit for bit, even for a table
+        # without the symmetry; rows n2 >= 0 are those of the full-domain block
+        rng = np.random.default_rng(57)
+        table = CoefficientTable(rng.normal(size=(14, 12)) + 1j * rng.normal(size=(14, 12)))
+        for d in range(table.max_degree + 1):
+            n1, _, block = _truncated_block(table, SpectralSet(shape, d, norm, half=True))
+            assert np.array_equal(block[:d][::-1], (-1.0) ** n1 * block[d + 1:])
+            full = _truncated_block(table, SpectralSet(shape, d, norm))[2]
+            assert np.array_equal(block[d:], full[d:])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(2, 12), st.sampled_from(["rectangle", "l1", "l2"]), st.data(), st.integers(0, 2**32 - 1),
+    )
+    def test_truncations_match_dfs_fourier_sum(self, half_grid, kind, data, seed):
+        # the truncation synthesized on the lat-lon rows is the folded series
+        # that dfs_fourier_sum evaluates at the same nodes
+        degree = data.draw(st.integers(0, half_grid - 1))
+        n_lambda = 2 * data.draw(st.integers(degree + 1, degree + 8))
+        nth = data.draw(st.integers(degree + 1, degree + 8))
+        a, b = np.random.default_rng(seed).normal(size=(2, 3))
+        shape, norm = ("rectangle", "l2") if kind == "rectangle" else ("ball", kind)
+        (t,) = truncations(lambda p: np.exp(p @ a) * np.cos(p @ b), [degree], shape, norm,
+                           eval_size=(n_lambda, nth), grid_size=2 * half_grid)
+        ref = t.reference
+        points = dfs_coord(*np.meshgrid(ref.lambdas, ref.thetas))
+        expected = dfs_fourier_sum(t.table, t.omega, points)
+        got = t.synthesis.values
+        # the north pole maps back to longitude 0 alone, the column n_lambda / 2
+        gap = max(np.max(np.abs(got[1:] - expected[1:])), abs(got[0, n_lambda // 2] - expected[0, n_lambda // 2]))
+        assert gap <= 1e-13 * np.max(np.abs(t.table.values))
 
 
 class TestFold:
