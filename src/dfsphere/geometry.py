@@ -48,19 +48,49 @@ def dfs_coord(lam, theta):
     return out
 
 
+def _unit_phases(points):
+    """exp(i lam) and exp(i theta) of sphere points, from their coordinates alone.
+
+    (xi1 + i xi2) / r and (xi3 + i r) / |xi| with r = hypot(xi1, xi2): no
+    transcendental call. The poles take exp(i lam) = 1. Raises ValueError
+    unless the points have shape (..., 3) and every norm is finite and within
+    ``UNIT_NORM_TOL`` of 1.
+    """
+    p = np.asarray(points, dtype=float)
+    if p.shape[-1] != 3:
+        raise ValueError(f"expected points of shape (..., 3), got {p.shape}")
+    r = np.hypot(p[..., 0], p[..., 1])
+    norm = np.sqrt(r * r + p[..., 2] ** 2)
+    dev = np.abs(norm - 1.0)
+    if not np.all(dev <= UNIT_NORM_TOL):  # NaN-safe: a non-finite point fails the comparison
+        raise ValueError(f"input not on the unit sphere: max norm deviation {float(np.max(dev)):.3e}")
+    w_lam = np.ones(r.shape, dtype=complex)
+    np.divide(p[..., 0], r, out=w_lam.real, where=r > 0.0)
+    np.divide(p[..., 1], r, out=w_lam.imag, where=r > 0.0)
+    sub = (r > 0.0) & (r < np.finfo(float).tiny)
+    if np.any(sub):  # a subnormal r has too few bits to divide by: scale those points by 2**64, exactly
+        x, y = (p[sub][:, :2] * 2.0**64).T
+        w_lam[sub] = (x + 1j * y) / np.hypot(x, y)
+    w_theta = np.empty(r.shape, dtype=complex)
+    np.divide(p[..., 2], norm, out=w_theta.real)
+    np.divide(r, norm, out=w_theta.imag)
+    return w_lam, w_theta
+
+
 def dfs_coord_inverse(points):
     """Invert the coordinate transform on its fundamental domain.
 
     Parameters
     ----------
     points : array_like, shape (..., 3)
-        Unit vectors. Norms may deviate from 1 by at most ``UNIT_NORM_TOL``.
+        Unit vectors. Norms may deviate from 1 by at most ``UNIT_NORM_TOL``;
+        such points are projected radially onto the sphere.
 
     Returns
     -------
     lam, theta : ndarray
-        lam = atan2(y, x) reduced to [-pi, pi), theta = arccos(z) in [0, pi].
-        Both poles map to lam = 0.
+        lam = arg((x + i y) / r) reduced to [-pi, pi), theta = arccos(z / |xi|)
+        in [0, pi]. Both poles map to lam = 0.
 
     Raises
     ------
@@ -68,20 +98,9 @@ def dfs_coord_inverse(points):
         If any input norm deviates from 1 by more than ``UNIT_NORM_TOL``, or
         is not finite.
     """
-    p = np.asarray(points, dtype=float)
-    if p.shape[-1] != 3:
-        raise ValueError(f"expected points of shape (..., 3), got {p.shape}")
-    dev = np.abs(np.sqrt(np.sum(p * p, axis=-1)) - 1.0)
-    if not np.all(dev <= UNIT_NORM_TOL):  # NaN-safe: a non-finite point fails the comparison
-        raise ValueError(f"input not on the unit sphere: max norm deviation {float(np.max(dev)):.3e}")
-    theta = np.arccos(np.clip(p[..., 2], -1.0, 1.0))
-    # atan2(0, 0) = 0, so the poles land on lam = 0 without special-casing;
-    # the explicit branch only normalizes points with tiny off-axis noise.
-    lam = np.arctan2(p[..., 1], p[..., 0])
-    lam = np.where(lam >= np.pi, lam - 2.0 * np.pi, lam)
-    at_pole = (np.abs(p[..., 0]) == 0.0) & (np.abs(p[..., 1]) == 0.0)
-    lam = np.where(at_pole, 0.0, lam)
-    return lam, theta
+    w_lam, w_theta = _unit_phases(points)
+    lam = np.angle(w_lam)
+    return np.where(lam >= np.pi, lam - 2.0 * np.pi, lam), np.arccos(np.clip(w_theta.real, -1.0, 1.0))
 
 
 def glide_reflect(lam, theta):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import dfs_coord_inverse
-from .spectral import _phases
+from .geometry import _unit_phases
+from .spectral import _angle_phases, _phases
 
 __all__ = [
     "SHCoefficients",
@@ -149,20 +149,20 @@ def _truncation_mask(coeffs, degrees):
 
 
 def _colatitude_table(coeffs, keep, t):
-    """A[k + h, d, j] = sum over n <= degrees[d] of fhat_{n,k} Pbar_n^k(t[j]), k = -h .. h.
+    """A[k + h, j, d] = sum over n <= degrees[d] of fhat_{n,k} Pbar_n^k(t[j]), k = -h .. h.
 
     ``keep`` is the :func:`_truncation_mask` of the degrees, h their largest.
-    Each Legendre table serves the orders k and -k in one real product; a
-    complex one would first copy the table to complex.
+    Each Legendre table serves the orders k and -k, Pbar_n^-k = (-1)^k Pbar_n^k
+    being a sign on the coefficients. Each real product reads the complex
+    coefficients as float pairs and writes its (j, d) slab of A in place.
     """
     h = len(keep) - 1
-    A = np.empty((2 * h + 1, keep.shape[1], len(t)), dtype=complex)
+    A = np.empty((2 * h + 1, len(t), keep.shape[1]), dtype=complex)
     for k in range(h + 1):
-        # columns k and -k, with Pbar_n^-k = (-1)^k Pbar_n^k as a sign on the -k column
-        pair = coeffs.values[k:h + 1, [coeffs.degree + k, coeffs.degree - k]] * [1.0, (-1.0) ** k]
-        c = np.ascontiguousarray(keep[k:, :, None] * pair[:, None, :])  # c[n, d, (k, -k)]
-        sums = np.tensordot(legendre_table(h, k, t), c.view(float), (0, 0)).view(complex)
-        A[h + k], A[h - k] = sums[:, :, 0].T, sums[:, :, 1].T
+        P = legendre_table(h, k, t).T
+        for m in {k, -k}:
+            c = keep[k:] * coeffs.values[k:h + 1, coeffs.degree + m, None] * (1.0 if m >= 0 else (-1.0) ** k)
+            np.dot(P, c.view(float), out=A[h + m].view(float))
     return A
 
 
@@ -177,25 +177,28 @@ def sh_synthesize(coeffs, lam, theta, degrees):
         raise ValueError(f"longitudes and colatitudes must be 1-d, got {np.shape(lam)} and {np.shape(theta)}")
     keep = _truncation_mask(coeffs, degrees)
     h = len(keep) - 1
-    return np.tensordot(_colatitude_table(coeffs, keep, np.cos(theta)), _phases(lam, np.arange(-h, h + 1)), (0, 1))
+    sums = np.tensordot(_colatitude_table(coeffs, keep, np.cos(theta)),
+                        _phases(_angle_phases(lam), np.arange(-h, h + 1)), (0, 0))
+    return np.moveaxis(sums, 1, 0)
 
 
 def sh_partial_sums(coeffs, points, degrees):
     """Truncations at each requested degree (ascending) at sphere points, shape (..., 3).
 
+    The points' unit phases give exp(i lam) and t = cos(theta) = Re exp(i theta).
     Points go in slices whose colatitude table holds at most 2^21 entries; one
     ``einsum`` contracts it with the slice's phases. Returns shape
     (len(degrees),) + points.shape[:-1].
     """
     keep = _truncation_mask(coeffs, degrees)
     h = len(keep) - 1
-    lam, theta = dfs_coord_inverse(points)
-    shape = np.shape(lam)
-    lam, t = np.ravel(lam), np.cos(np.ravel(theta))
-    out = np.empty((keep.shape[1], lam.size), dtype=complex)
+    w_lam, w_theta = _unit_phases(points)
+    shape = w_lam.shape
+    w_lam, t = w_lam.ravel(), w_theta.real.ravel()
+    out = np.empty((keep.shape[1], w_lam.size), dtype=complex)
     step = max(1, 2**21 // (keep.shape[1] * (2 * h + 1)))
-    for s in range(0, lam.size, step):
+    for s in range(0, w_lam.size, step):
         # no name holds a slice's tables, so they are freed before the next slice builds its own
-        np.einsum("kdp,pk->dp", _colatitude_table(coeffs, keep, t[s : s + step]),
-                  _phases(lam[s : s + step], np.arange(-h, h + 1)), out=out[:, s : s + step])
+        np.einsum("kpd,kp->dp", _colatitude_table(coeffs, keep, t[s : s + step]),
+                  _phases(w_lam[s : s + step], np.arange(-h, h + 1)), out=out[:, s : s + step])
     return out.reshape(out.shape[:1] + shape)

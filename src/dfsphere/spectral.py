@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import dfs_coord, dfs_coord_inverse
+from .geometry import _unit_phases, dfs_coord, dfs_coord_inverse
 from .grids import TorusGrid, _periodic_nodes
 
 __all__ = [
@@ -47,8 +47,6 @@ COEFF_MAGIC = b"DFSC"
 COEFF_VERSION = 1
 #: relative asymmetry above which :func:`fold_coefficients` rejects a table
 _SYMMETRY_TOL = 1e-8
-#: columns per run of :func:`_phases`; each run restarts the recurrence from one ``exp``
-_PHASE_RUN = 16
 
 
 def _alternating(n):
@@ -261,42 +259,50 @@ def _truncated_block(table, omega):
     return n, n, block
 
 
-def _phases(x, n):
-    """exp(1j * outer(x, n)) for a 1-d array ``x`` and a contiguous integer range ``n``.
-
-    The powers w^0 .. w^15 of w = exp(i x) come from one ``exp`` per point by
-    ``cumprod``; each run of 16 columns is those powers times a fresh
-    exp(i n[j] x), so a point costs 1 + ceil(len(n) / 16) ``exp`` calls. The
-    restart bounds the error whatever the range: against a long-double table,
-    the largest error stays within a few eps of that of ``exp(1j * outer)``.
-    """
+def _angle_phases(x):
+    """exp(i x) of an angle array: one cos and one sin, into the real and imaginary views of one array."""
     x = np.asarray(x, dtype=float)
-    out = np.empty((x.size, len(n)), dtype=complex)
-    powers = np.empty((x.size, min(_PHASE_RUN, len(n))), dtype=complex)
-    powers[:, :1] = 1.0
-    powers[:, 1:] = np.exp(1j * x)[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    for j in range(0, len(n), _PHASE_RUN):
-        run = out[:, j : j + _PHASE_RUN]
-        np.multiply(powers[:, : run.shape[1]], np.exp(1j * (n[j] * x))[:, None], out=run)
+    w = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=w.real)
+    np.sin(x, out=w.imag)
+    return w
+
+
+def _phases(w, n):
+    """The rows w**n[k] of 1-d unit phases ``w`` over a contiguous integer range ``n``, shape (len(n), len(w)).
+
+    The row n = 0 is 1, or row 0 is ``w**n[0]`` when the range excludes 0;
+    every other row is its neighbour on that side times w or conj(w), one
+    complex multiply per row and no transcendental call. A row m steps out
+    carries about m eps of rounding, as exp(i m x) carries |m x| eps / 2 of
+    argument rounding.
+    """
+    out = np.empty((len(n), w.size), dtype=complex)
+    j = -n[0] if n[0] <= 0 <= n[-1] else 0
+    out[j] = w ** n[j]
+    for k in range(j + 1, len(n)):
+        np.multiply(out[k - 1], w, out=out[k])
+    w = np.conj(w)
+    for k in range(j - 1, -1, -1):
+        np.multiply(out[k + 1], w, out=out[k])
     return out
 
 
-def _separable_sum(n1, n2, block, lam, theta):
-    """sum_{j,k} block[j, k] exp(i (n1[k] lam + n2[j] theta)) at the points (lam, theta).
+def _separable_sum(n1, n2, block, w_lam, w_theta):
+    """sum_{j,k} block[j, k] w_lam**n1[k] w_theta**n2[j] at unit phases w_lam = exp(i lam), w_theta = exp(i theta).
 
     Each term factors as exp(i n1 lam) exp(i n2 theta), so the sum is
-    sum_k (E_theta @ block)[p, k] E_lam[p, k] over two tables of 1-D phases.
-    Points go in slices of at most 2^21 table entries, below about 70 MiB.
+    sum_k (block.T @ E_theta)[k, p] E_lam[k, p] over two (k, p) tables of
+    :func:`_phases`. Points go in slices of at most 2^21 table entries, below
+    about 70 MiB.
     """
-    shape = np.broadcast(lam, theta).shape
-    lam, theta = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in (lam, theta))
-    out = np.empty(lam.size, dtype=complex)
+    shape = np.broadcast(w_lam, w_theta).shape
+    w_lam, w_theta = (np.broadcast_to(w, shape).ravel() for w in (w_lam, w_theta))
+    out = np.empty(w_lam.size, dtype=complex)
     step = max(1, 2**21 // (len(n1) + len(n2)))
-    for s in range(0, lam.size, step):
-        e_lam = _phases(lam[s : s + step], n1)
-        e_theta = _phases(theta[s : s + step], n2)
-        out[s : s + step] = np.einsum("pk,pk->p", e_theta @ block, e_lam)
+    for s in range(0, out.size, step):
+        e_theta = block.T @ _phases(w_theta[s : s + step], n2)
+        out[s : s + step] = np.einsum("kp,kp->p", e_theta, _phases(w_lam[s : s + step], n1))
     return out.reshape(shape) if shape else complex(out[0])
 
 
@@ -309,7 +315,7 @@ def partial_sum_torus(table, omega, lam, theta):
     """
     if omega is not None and omega.half:
         raise ValueError("partial_sum_torus expects a full-domain spectral set")
-    return _separable_sum(*_truncated_block(table, omega), lam, theta)
+    return _separable_sum(*_truncated_block(table, omega), _angle_phases(lam), _angle_phases(theta))
 
 
 def _grid_sum(table, omega, n_theta, n_lambda, rows):
@@ -447,12 +453,12 @@ def dfs_fourier_sum(table, omega, points):
 
     sum over n in omega (a half-domain set) of c_n b_n(xi), with coefficients
     read from a full coefficient table: the folded block of
-    :func:`_truncated_block`, evaluated by the separable kernel at the inverse
-    coordinates.
+    :func:`_truncated_block`, evaluated by the separable kernel at the unit
+    phases of the points.
     """
     if not omega.half:
         raise ValueError("dfs_fourier_sum expects a half-domain spectral set")
-    return _separable_sum(*_truncated_block(table, omega), *dfs_coord_inverse(points))
+    return _separable_sum(*_truncated_block(table, omega), *_unit_phases(points))
 
 
 def _mirror_residual(values):

@@ -314,6 +314,23 @@ class TestEvaluate:
         assert points_peak <= 96 * 2**20
         assert grid_peak <= 12.8 * 2**20
 
+    def test_many_points_in_bounded_memory(self):
+        # 480^2 points at h = 12 and three degrees: whole, the colatitude table
+        # alone would take 276 MB
+        co = random_triangle(12, 6)
+        lam = -np.pi + 2 * np.pi * np.arange(480) / 480
+        theta = np.pi * np.arange(480) / 479
+        points = dfs_coord(*np.meshgrid(lam, theta))
+        degrees = [4, 8, 12]
+        tracemalloc.start()
+        try:
+            scattered = sh_partial_sums(co, points, degrees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(scattered - sh_synthesize(co, lam, theta, degrees))) <= 1e-13
+        assert peak <= 96 * 2**20
+
     @pytest.mark.parametrize("degrees", [[], [-1], [8, 4], [13]], ids=["empty", "negative", "descending", "above-bound"])
     def test_rejects_bad_degree_list(self, degrees):
         co = random_triangle(12, 0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dfsphere.geometry import dfs_coord, dfs_coord_inverse, glide_reflect
+from dfsphere.geometry import UNIT_NORM_TOL, _unit_phases, dfs_coord, dfs_coord_inverse, glide_reflect
 from dfsphere.grids import LatLonGrid, TorusGrid, dfs_double, sample_sphere
 from dfsphere.spectral import (
     CoefficientTable,
@@ -27,6 +27,7 @@ from dfsphere.spectral import (
     unfold_coefficients,
 )
 from dfsphere.analysis import truncations
+from dfsphere.sh_reference import SHCoefficients, sh_partial_sums
 from dfsphere.spectral import _grid_sum, _phases, _truncated_block
 from dfsphere.testfns import spherical_function, standard_combination
 
@@ -353,6 +354,22 @@ class TestPartialSums:
         assert np.max(np.abs(grid.values - direct)) <= 1e-12
         assert peak <= 96 * 2**20
 
+    def test_many_sphere_points_match_grid_path_in_bounded_memory(self):
+        # the folded sum at the sphere points of a 480^2 torus grid; whole, its
+        # 230400 x 17 tables would take 188 MB. The table is exactly symmetric,
+        # so the sum is glide invariant and equals the torus sum at every node
+        table = unfold_coefficients(fold_coefficients(cos_theta_table(32)))
+        grid = partial_sum_grid(table, SpectralSet("rectangle", 8), 480, 480)
+        points = dfs_coord(grid.lambdas[None, :], grid.thetas[:, None])
+        tracemalloc.start()
+        try:
+            folded = dfs_fourier_sum(table, SpectralSet("rectangle", 8, half=True), points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(grid.values - folded)) <= 1e-12
+        assert peak <= 96 * 2**20
+
     @settings(max_examples=25, deadline=None)
     @given(doubled_tables(), st.sampled_from(["rectangle", "l1", "l2"]), st.data())
     def test_folded_synthesis_is_glide_invariant(self, table, kind, data):
@@ -395,17 +412,16 @@ class TestPhases:
     def test_recurrence_matches_exp_of_outer(self, n, n_points, seed):
         # exp(1j * outer) itself carries the argument rounding |n x| eps / 2, so the bound grows with |n|
         x = np.random.default_rng(seed).uniform(-np.pi, np.pi, n_points)
-        got = _phases(x, n)
-        assert got.shape == (n_points, len(n))
-        # every run of 16 columns restarts from exp itself
-        np.testing.assert_array_equal(got[:, ::16], np.exp(1j * np.outer(x, n[::16])))
-        err = np.max(np.abs(got - np.exp(1j * np.outer(x, n))), initial=0.0)
+        got = _phases(np.exp(1j * x), n)
+        assert got.shape == (len(n), n_points)
+        err = np.max(np.abs(got - np.exp(1j * np.outer(n, x))), initial=0.0)
         assert err <= (4 * np.max(np.abs(n)) + 32) * np.finfo(float).eps
 
     def test_single_column_is_exp_and_no_points_give_an_empty_table(self):
-        x = np.random.default_rng(55).uniform(-np.pi, np.pi, 9)
-        np.testing.assert_array_equal(_phases(x, np.arange(-37, -36)), np.exp(1j * (-37 * x))[:, None])
-        assert _phases(np.empty(0), np.arange(-24, 25)).shape == (0, 49)
+        # a range without 0 starts from the power w**n[0] itself
+        w = np.exp(1j * np.random.default_rng(55).uniform(-np.pi, np.pi, 9))
+        np.testing.assert_array_equal(_phases(w, np.arange(-37, -36)), w[None, :] ** -37)
+        assert _phases(np.empty(0, dtype=complex), np.arange(-24, 25)).shape == (49, 0)
 
 
 class TestBasis:
@@ -604,11 +620,56 @@ class TestDfsFourierSum:
         dfs_coord_inverse,
         partial(dfs_fourier_sum, cos_theta_table(16), SpectralSet("rectangle", 1, half=True)),
         partial(basis_b, 1, 2),
-    ], ids=["dfs_coord_inverse", "dfs_fourier_sum", "basis_b"])
+        partial(sh_partial_sums, SHCoefficients(1, np.ones((2, 3))), degrees=[1]),
+    ], ids=["dfs_coord_inverse", "dfs_fourier_sum", "basis_b", "sh_partial_sums"])
     def test_rejects_non_finite_points(self, evaluate, bad):
         points = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
         with pytest.raises(ValueError, match="unit sphere"):
             evaluate(points)
+
+
+class TestUnitPhases:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_point_phases_match_their_angles(self, seed):
+        # random points, points 10^-1 .. 10^-300 from either pole, and the exact
+        # poles with signed zeros, each with the angles it was made from
+        rng = np.random.default_rng(seed)
+        lam = np.concatenate([rng.uniform(-np.pi, np.pi, 64), np.zeros(4)])
+        theta = np.concatenate([rng.uniform(0.0, np.pi, 32), 10.0 ** -rng.uniform(1, 300, 32), np.zeros(4)])
+        south = np.arange(68) % 2 == 1
+        south[:32] = False
+        points = dfs_coord(lam, theta)
+        points[-4:] = [[0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [-0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]]
+        points[south, 2] *= -1.0  # the point at colatitude pi - theta
+        points *= 1.0 + 0.999 * UNIT_NORM_TOL * rng.uniform(-1.0, 1.0, (68, 1))
+        w_lam, w_theta = _unit_phases(points)
+
+        eps = np.finfo(float).eps
+        exact = np.exp(1j * np.stack([lam, theta]).astype(np.longdouble))
+        exact[1, south] = -np.conj(exact[1, south])  # exp(i (pi - theta))
+        for w, want in zip((w_lam, w_theta), exact):
+            assert np.max(np.abs(np.abs(w) - 1.0)) <= 4 * eps
+            assert np.max(np.abs(w - want)) <= 8 * eps
+        assert np.all(w_lam[-4:] == 1.0)
+
+        # basis_b takes theta = arccos(xi3 / |xi|), which errs by about
+        # min(eps / r, r) at distance r from the axis: compare where that is far below 1e-12
+        r = np.hypot(points[:, 0], points[:, 1])
+        sharp = (r > 1e-2) | (r < 1e-15)
+        table = compute_coefficients(dfs_double(sample_sphere(combo(), 64, 32)))
+        omega = SpectralSet("rectangle", 9, half=True)
+        oracle = sum(table.coeff(a, b) * basis_b(a, b, points[sharp]) for a, b in zip(*omega.members()))
+        assert np.max(np.abs(dfs_fourier_sum(table, omega, points)[sharp] - oracle)) <= 1e-12
+
+
+    def test_subnormal_distance_from_the_axis(self):
+        # x and y below the smallest normal double still give a unit phase of their direction
+        points = np.array([[5e-324, 5e-324, 1.0], [3e-320, -1e-320, -1.0], [-4e-310, 0.0, 1.0]])
+        w_lam, _ = _unit_phases(points)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(np.abs(w_lam) - 1.0)) <= 4 * eps
+        assert np.max(np.abs(np.angle(w_lam) - np.arctan2(points[:, 1], points[:, 0]))) <= 4 * eps
 
 
 class TestFoldedBlock:
