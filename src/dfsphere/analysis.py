@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import dfs_coord
 from .grids import LatLonGrid, sample_sphere, dfs_double
-from .spectral import SpectralSet, _grid_sum, compute_coefficients
+from .spectral import SpectralSet, _check_degrees, _grid_sum, compute_coefficients
 
 __all__ = [
     "ZetaTailResult",
@@ -120,9 +120,7 @@ def truncations(
     the synthesis as a :class:`~dfsphere.grids.LatLonGrid` and its sup error
     over the reference.
     """
-    degrees = list(degrees)
-    if degrees != sorted(degrees):
-        raise ValueError("degrees must be ascending")
+    degrees = _check_degrees(degrees)
     table = coefficient_table_for(f, degrees[-1], oversample, grid_size)
     reference = sample_sphere(f, *eval_size)
     nth = reference.n_theta_half
@@ -198,13 +196,14 @@ def error_table(
 def fit_rate(rows):
     """Least-squares slope of log(max_error) against log(degree).
 
-    Rows with non-positive error (exact reproduction) are unusable; at least
-    three usable rows are required. Callers wanting an asymptotic rate should
-    pass only degrees past the pre-asymptotic regime (>= 16 in the benchmarks).
+    Rows of degree 0 or with non-positive error (exact reproduction) are
+    unusable; at least three usable rows are required. Callers wanting an
+    asymptotic rate should pass only degrees past the pre-asymptotic regime
+    (>= 16 in the benchmarks).
     """
-    usable = [(r.degree, r.max_error) for r in rows if r.max_error > 0.0]
+    usable = [(r.degree, r.max_error) for r in rows if r.degree > 0 and r.max_error > 0.0]
     if len(usable) < 3:
-        raise ValueError(f"need at least 3 rows with positive error, got {len(usable)}")
+        raise ValueError(f"need at least 3 rows with positive degree and error, got {len(usable)}")
     hs = np.log([u[0] for u in usable])
     es = np.log([u[1] for u in usable])
     return float(np.polyfit(hs, es, 1)[0])
@@ -244,10 +243,11 @@ def decay_report(table, k, alpha, r_min=1, r_max=None):
     n2 = table.n2_values
     radius = np.abs(n1)[None, :] + np.abs(n2)[:, None]
     limit = min(int(np.max(np.abs(n1))), int(np.max(np.abs(n2))))
-    if r_max is None:
-        r_max = limit
+    r_max = limit if r_max is None else r_max
     if r_max > limit:
         raise ValueError(f"shells above radius {limit} are incomplete in this table")
+    if not 1 <= r_min <= r_max:
+        raise ValueError(f"need 1 <= r_min <= r_max, got r_min={r_min}, r_max={r_max}")
     shell_max = np.zeros(int(radius.max()) + 1)
     np.maximum.at(shell_max, radius.ravel(), np.abs(table.values).ravel())
     radii = np.arange(r_min, r_max + 1)
@@ -306,6 +306,8 @@ def hoelder_quotient_check(f, alpha, n_pairs, seed=0):
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
+    if n_pairs < 1:
+        raise ValueError(f"need at least one pair, got n_pairs={n_pairs}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-np.pi, np.pi, size=(n_pairs, 2))
     y = rng.uniform(-np.pi, np.pi, size=(n_pairs, 2))

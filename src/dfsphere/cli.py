@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, spectral, testfns
 from .grids import dfs_double, grid_io_write, sample_sphere
-from .spectral import coeff_io_write, compute_coefficients
+from .spectral import _check_degrees, coeff_io_write, compute_coefficients
 
 SCHEMA_VERSION = 1
 
@@ -49,8 +49,8 @@ def _parse_degrees(raw):
         degrees = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"could not parse degree list {raw!r}")
-    if not degrees or degrees != sorted(degrees) or degrees[0] < 1:
-        raise ConfigError("degrees must be a non-empty ascending list of positive integers")
+    if _check_degrees(degrees)[0] < 1:
+        raise ConfigError("degrees must be positive")
     return degrees
 
 
@@ -60,28 +60,23 @@ def _check_grid(n):
     return n
 
 
-def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # csv defaults to CRLF line endings (RFC 4180)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    data = buf.getvalue()
+def _write_text(path, text):
+    """Write ``text`` to ``path`` as given, line endings included, or to stdout when no path is set."""
     if path:
         with open(path, "w", newline="") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
-
-
-def _write_json(path, payload):
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(path, header, rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])  # csv defaults to CRLF line endings (RFC 4180)
+    _write_text(path, buf.getvalue())
+
+
+def _write_json(path, payload):
+    _write_text(path, json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_transform(args):
@@ -146,7 +141,7 @@ def cmd_error_table(args):
     )
     try:
         slope = analysis.fit_rate(rows)
-    except ValueError:  # fewer than three rows with positive error
+    except ValueError:  # fewer than three rows with positive degree and error
         slope = None
     records = [
         {
@@ -199,7 +194,7 @@ def _verify_orthogonality(args, report):
 
 def _verify_decay(args, report):
     f, name = _load_function(args)
-    table = analysis.coefficient_table_for(f, 128, oversample=4, grid_size=max(args.grid, 512))
+    table = analysis.coefficient_table_for(f, 128, grid_size=max(args.grid, 512))
     rep = analysis.decay_report(table, k=3, alpha=0.9, r_min=8, r_max=128)
     report["function"] = name
     report["slope"] = rep.slope

@@ -30,6 +30,7 @@ __all__ = [
 
 GRID_MAGIC = b"DFSG"
 GRID_VERSION = 1
+_GRID_LAYOUT = ("grid", GRID_MAGIC, GRID_VERSION, "<4sIQQB")
 
 
 def _periodic_nodes(n):
@@ -194,6 +195,43 @@ def dfs_double(g):
     return TorusGrid(out, bmc=True)
 
 
+def _write_container(path, layout, fields, values):
+    """Write ``layout``'s magic, version and header ``fields``, then ``values`` row-major as complex float64 pairs."""
+    _, magic, version, fmt = layout
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(fmt, magic, version, *fields))
+        fh.write(np.ascontiguousarray(values, dtype="<c16"))
+
+
+def _read_container(path, layout, shape_of):
+    """The header fields and complex128 values of a file written by :func:`_write_container`.
+
+    A layout is (name, magic, version, little-endian struct format of the
+    header). ``shape_of`` maps the header fields to the payload shape, raising
+    ValueError on fields the layout rejects. The values are decoded from the
+    file's bytes in place, so a read holds the file twice, not three times.
+    """
+    what, magic, version, fmt = layout
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head_len = struct.calcsize(fmt)
+    if len(raw) < head_len or not raw.startswith(magic):
+        raise ValueError(f"malformed {what} file header")
+    _, file_version, *fields = struct.unpack_from(fmt, raw)
+    if file_version != version:
+        raise ValueError(f"unsupported {what} file version {file_version}")
+    shape = shape_of(*fields)
+    expected = 16 * shape[0] * shape[1]
+    if len(raw) - head_len != expected:
+        raise ValueError(
+            f"truncated or oversized {what} payload: expected {expected} bytes, got {len(raw) - head_len}"
+        )
+    values = np.frombuffer(raw, dtype="<c16", offset=head_len).reshape(shape)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} payload holds non-finite values")
+    return fields, values.astype(complex)
+
+
 def grid_io_write(grid, path):
     """Write a torus grid in the DFSG binary layout.
 
@@ -202,34 +240,10 @@ def grid_io_write(grid, path):
     A real grid is widened to complex pairs, so it writes the same bytes as
     the same grid cast to complex.
     """
-    header = GRID_MAGIC + struct.pack(
-        "<IQQB", GRID_VERSION, grid.n_lambda, grid.n_theta, 1 if grid.bmc else 0
-    )
-    payload = np.ascontiguousarray(grid.values, dtype="<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    _write_container(path, _GRID_LAYOUT, (grid.n_lambda, grid.n_theta, 1 if grid.bmc else 0), grid.values)
 
 
 def grid_io_read(path):
     """Read a torus grid written by :func:`grid_io_write`; the grid is complex128."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head_len = 4 + struct.calcsize("<IQQB")
-    if len(raw) < head_len or raw[:4] != GRID_MAGIC:
-        raise ValueError("malformed grid file header")
-    version, n_lambda, n_theta, bmc_flag = struct.unpack("<IQQB", raw[4:head_len])
-    if version != GRID_VERSION:
-        raise ValueError(f"unsupported grid file version {version}")
-    if n_theta % 2 or n_lambda % 2 or n_theta < 2 or n_lambda < 2:
-        raise ValueError(f"grid dimensions must be even and >= 2, got {n_theta} x {n_lambda}")
-    expected = n_theta * n_lambda * 16
-    payload = raw[head_len:]
-    if len(payload) != expected:
-        raise ValueError(
-            f"truncated or oversized grid payload: expected {expected} bytes, got {len(payload)}"
-        )
-    values = np.frombuffer(payload, dtype="<c16").reshape(n_theta, n_lambda)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("grid payload holds non-finite values")
-    return TorusGrid(values.astype(complex), bmc=bool(bmc_flag))
+    (_, _, bmc_flag), values = _read_container(path, _GRID_LAYOUT, lambda n_lambda, n_theta, _: (n_theta, n_lambda))
+    return TorusGrid(values, bmc=bool(bmc_flag))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _unit_phases
-from .spectral import _angle_phases, _phases
+from .spectral import _angle_phases, _check_degrees, _phases
 
 __all__ = [
     "SHCoefficients",
@@ -141,11 +141,10 @@ def sh_analyze(grid, h):
 
 def _truncation_mask(coeffs, degrees):
     """keep[n, d] = n <= degrees[d] for n = 0 .. degrees[-1]; degrees must ascend within the store."""
-    degrees = np.asarray(degrees)
-    if not (degrees.ndim == 1 and degrees.size and 0 <= degrees[0] and degrees[-1] <= coeffs.degree
-            and np.all(np.diff(degrees) >= 0)):
-        raise ValueError(f"degrees must be a non-empty ascending list within 0 .. {coeffs.degree}")
-    return np.arange(degrees[-1] + 1)[:, None] <= degrees
+    degrees = _check_degrees(degrees)
+    if degrees[-1] > coeffs.degree:
+        raise ValueError(f"ascending degrees must lie within 0 .. {coeffs.degree}, got {degrees}")
+    return np.arange(degrees[-1] + 1)[:, None] <= np.asarray(degrees)
 
 
 def _colatitude_table(coeffs, keep, t):

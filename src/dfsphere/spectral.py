@@ -15,13 +15,12 @@ which is what allows the series to be folded onto the half domain Z x N0 and
 pushed down to the sphere.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import _unit_phases, dfs_coord, dfs_coord_inverse
-from .grids import TorusGrid, _periodic_nodes
+from .grids import TorusGrid, _periodic_nodes, _read_container, _write_container
 
 __all__ = [
     "CoefficientTable",
@@ -45,6 +44,7 @@ __all__ = [
 
 COEFF_MAGIC = b"DFSC"
 COEFF_VERSION = 1
+_COEFF_LAYOUT = ("coefficient", COEFF_MAGIC, COEFF_VERSION, "<4sIqqqqB")
 #: relative asymmetry above which :func:`fold_coefficients` rejects a table
 _SYMMETRY_TOL = 1e-8
 
@@ -57,6 +57,15 @@ def _alternating(n):
 def _centered(n):
     """The centered index range -n/2 .. n/2 - 1 of an even table side n."""
     return np.arange(-(n // 2), n // 2)
+
+
+def _check_degrees(degrees):
+    """``degrees`` as a list, which must be non-empty and ascending (repeats allowed), of integers >= 0."""
+    degrees = list(degrees)
+    if not (degrees and all(isinstance(h, (int, np.integer)) and h >= 0 for h in degrees)
+            and degrees == sorted(degrees)):
+        raise ValueError(f"degrees must be a non-empty ascending list of integers >= 0, got {degrees}")
+    return degrees
 
 
 @dataclass
@@ -161,8 +170,7 @@ class SpectralSet:
             raise ValueError(f"unknown truncation shape {self.shape!r}")
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"unknown ball norm {self.norm!r}")
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
+        _check_degrees([self.degree])
 
     def contains(self, n1, n2):
         n1, n2 = np.asarray(n1, dtype=np.int64), np.asarray(n2, dtype=np.int64)
@@ -516,41 +524,21 @@ def coeff_io_write(table, path):
     (always 0, the integral convention of this module), then row-major complex
     values (rows ordered by ascending n2) as little-endian float64 pairs.
     """
-    n1 = table.n1_values
-    n2 = table.n2_values
-    header = COEFF_MAGIC + struct.pack(
-        "<IqqqqB", COEFF_VERSION, int(n1[0]), int(n1[-1]) + 1, int(n2[0]), int(n2[-1]) + 1, 0
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(table.values, dtype="<c16").tobytes())
+    h2, h1 = table.values.shape[0] // 2, table.values.shape[1] // 2
+    _write_container(path, _COEFF_LAYOUT, (-h1, h1, -h2, h2, 0), table.values)
 
 
-def coeff_io_read(path):
-    """Read a coefficient table written by :func:`coeff_io_write`.
-
-    Raises ValueError on any normalization tag but 0 (the integral convention).
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head_len = 4 + struct.calcsize("<IqqqqB")
-    if len(raw) < head_len or raw[:4] != COEFF_MAGIC:
-        raise ValueError("malformed coefficient file header")
-    version, n1_lo, n1_hi, n2_lo, n2_hi, tag = struct.unpack("<IqqqqB", raw[4:head_len])
-    if version != COEFF_VERSION:
-        raise ValueError(f"unsupported coefficient file version {version}")
+def _coeff_shape(n1_lo, n1_hi, n2_lo, n2_hi, tag):
+    """The (N2, N1) table shape of DFSC index ranges; only the integral convention's tag 0 is read."""
     if tag != 0:
         raise ValueError(f"unsupported normalization tag {tag} (only 0, the integral convention)")
     N1, N2 = n1_hi - n1_lo, n2_hi - n2_lo
-    if N1 <= 0 or N2 <= 0 or n1_lo != -(N1 // 2) or n2_lo != -(N2 // 2) or N1 % 2 or N2 % 2:
-        raise ValueError("coefficient index ranges must be centered and even-sized")
-    payload = raw[head_len:]
-    if len(payload) != N1 * N2 * 16:
-        raise ValueError(
-            f"truncated or oversized coefficient payload: expected {N1 * N2 * 16} bytes, "
-            f"got {len(payload)}"
-        )
-    values = np.frombuffer(payload, dtype="<c16").reshape(N2, N1)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("coefficient payload holds non-finite values")
-    return CoefficientTable(values.astype(complex))
+    if N1 <= 0 or N2 <= 0 or n1_lo != -(N1 // 2) or n2_lo != -(N2 // 2):
+        raise ValueError("coefficient index ranges must be centered")
+    return N2, N1
+
+
+def coeff_io_read(path):
+    """Read a coefficient table written by :func:`coeff_io_write`; any normalization tag but 0 raises ValueError."""
+    _, values = _read_container(path, _COEFF_LAYOUT, _coeff_shape)
+    return CoefficientTable(values)

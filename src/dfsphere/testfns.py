@@ -24,8 +24,6 @@ __all__ = [
     "spec_to_dict",
 ]
 
-KINDS = ("f_nu", "counterexample", "harmonic_probe", "constant", "coordinate")
-
 
 def rotation_to(target):
     """Rotation matrix mapping the north pole e3 to the unit vector ``target``."""
@@ -53,7 +51,7 @@ class TestFunctionSpec:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:  # a JSON list or object is unhashable
             raise ValueError(f"unknown test function kind {self.kind!r}")
         self.rotation = np.asarray(self.rotation, dtype=float)
         if self.rotation.shape != (3, 3):
@@ -129,19 +127,20 @@ def _eval_harmonic_probe(spec, points):
     return spec.weight * np.real((p[..., 0] + 1j * p[..., 1]) ** spec.nu)
 
 
+#: the evaluator of each term kind, called as evaluator(spec, points)
+KINDS = {
+    "f_nu": eval_f_nu,
+    "counterexample": lambda spec, points: spec.weight * eval_counterexample(points),
+    "harmonic_probe": _eval_harmonic_probe,
+    "constant": lambda spec, points: spec.weight * np.ones(np.asarray(points).shape[:-1]),
+    # third coordinate of the rotated frame
+    "coordinate": lambda spec, points: spec.weight * (np.asarray(points, dtype=float) @ spec.axis),
+}
+
+
 def eval_spec(spec, points):
     """Evaluate a single term."""
-    if spec.kind == "f_nu":
-        return eval_f_nu(spec, points)
-    if spec.kind == "counterexample":
-        return spec.weight * eval_counterexample(points)
-    if spec.kind == "harmonic_probe":
-        return _eval_harmonic_probe(spec, points)
-    if spec.kind == "constant":
-        return spec.weight * np.ones(np.asarray(points).shape[:-1])
-    # coordinate: third coordinate of the rotated frame
-    p = np.asarray(points, dtype=float)
-    return spec.weight * (p @ spec.axis)
+    return KINDS[spec.kind](spec, points)
 
 
 def spherical_function(specs):

@@ -20,6 +20,7 @@ from dfsphere.analysis import (
     fit_rate,
     hoelder_quotient_check,
     sobolev_probe,
+    truncations,
     uniform_convergence_check,
     zeta_tail_sum,
 )
@@ -112,6 +113,16 @@ class TestFitRate:
         with pytest.raises(ValueError, match="at least 3"):
             fit_rate(rows)
 
+    def test_skips_degree_zero_rows(self):
+        # log(0) used to end in a LinAlgError from the fit
+        rows = [
+            ErrorTableRow(degree=h, shape="rectangle", n_terms=0, max_error=1.0 if h == 0 else h**-3.0, elapsed=0.0)
+            for h in (0, 4, 8, 16)
+        ]
+        assert_allclose(fit_rate(rows), -3.0, atol=1e-9)
+        with pytest.raises(ValueError, match="at least 3"):
+            fit_rate(rows[:3])
+
 
 class TestErrorTable:
     def test_bandlimited_reproduced_exactly(self):
@@ -136,6 +147,18 @@ class TestErrorTable:
     def test_rejects_unsorted_degrees(self):
         with pytest.raises(ValueError, match="ascending"):
             error_table(combo(), [16, 8])
+
+    @pytest.mark.parametrize("degrees", [[], [2.5], [16, 8], [-1]],
+                             ids=["empty", "fractional", "descending", "negative"])
+    @pytest.mark.parametrize("run", [
+        lambda f, degrees: list(truncations(f, degrees, eval_size=(16, 8))),
+        lambda f, degrees: error_table(f, degrees, eval_size=(16, 8)),
+        lambda f, degrees: uniform_convergence_check(f, degrees, eval_size=(16, 8)),
+    ], ids=["truncations", "error_table", "uniform_convergence_check"])
+    def test_rejects_bad_degree_list(self, run, degrees):
+        # [] used to raise an IndexError
+        with pytest.raises(ValueError, match="ascending"):
+            run(combo(), degrees)
 
     def test_elapsed_is_cumulative_from_call_start(self):
         from dfsphere.sh_reference import sh_analyze
@@ -234,6 +257,13 @@ class TestDecayReport:
         with pytest.raises(ValueError, match="incomplete"):
             decay_report(table, 3, 0.9, r_min=2, r_max=60)
 
+    @pytest.mark.parametrize("r_min, r_max", [(0, 16), (9, 8)], ids=["radius-zero", "empty-range"])
+    def test_rejects_radius_zero_or_empty_range(self, r_min, r_max):
+        # radius 0 used to end in a LinAlgError from the fit, an empty range in slope -inf
+        table = coefficient_table_for(combo(), 16, grid_size=64)
+        with pytest.raises(ValueError, match="r_min"):
+            decay_report(table, 3, 0.9, r_min=r_min, r_max=r_max)
+
 
 class TestHoelder:
     def test_constant_function(self):
@@ -257,6 +287,11 @@ class TestHoelder:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             hoelder_quotient_check(combo(), alpha=1.0, n_pairs=10)
+
+    def test_rejects_no_pairs(self):
+        # zero pairs used to report that the inequality holds
+        with pytest.raises(ValueError, match="one pair"):
+            hoelder_quotient_check(combo(), alpha=0.5, n_pairs=0)
 
     def test_nan_function_does_not_hold(self):
         f = lambda p: np.full(np.asarray(p).shape[:-1], np.nan)

@@ -217,6 +217,10 @@ class TestErrorTable:
     def test_empty_degrees_exit_two(self):
         assert run(["error-table", "--preset", "f3-combo", "--degrees", ""]) == 2
 
+    @pytest.mark.parametrize("degrees", ["0,8", "8,-16", "2.5"])
+    def test_zero_negative_or_fractional_degrees_exit_two(self, degrees):
+        assert run(["error-table", "--preset", "f3-combo", "--degrees", degrees]) == 2
+
     def test_json_slope_field(self, tmp_path):
         out = tmp_path / "s.json"
         code = run([

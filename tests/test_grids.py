@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,3 +311,17 @@ class TestGridIO:
         elapsed = time.perf_counter() - start
         assert np.array_equal(back.values, vals)
         assert elapsed < 1.0
+
+    def test_read_holds_the_file_at_most_twice(self, tmp_path):
+        # the file's bytes and the decoded grid; a copy of the payload bytes would make it three times
+        grid = TorusGrid(np.ones((512, 512), dtype=complex))
+        path = tmp_path / "big.dfsg"
+        grid_io_write(grid, path)
+        tracemalloc.start()
+        try:
+            back = grid_io_read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, grid.values)
+        assert peak <= 2.2 * path.stat().st_size

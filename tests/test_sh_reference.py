@@ -331,7 +331,8 @@ class TestEvaluate:
         assert np.max(np.abs(scattered - sh_synthesize(co, lam, theta, degrees))) <= 1e-13
         assert peak <= 96 * 2**20
 
-    @pytest.mark.parametrize("degrees", [[], [-1], [8, 4], [13]], ids=["empty", "negative", "descending", "above-bound"])
+    @pytest.mark.parametrize("degrees", [[], [-1], [8, 4], [13], [2.5]],
+                             ids=["empty", "negative", "descending", "above-bound", "fractional"])
     def test_rejects_bad_degree_list(self, degrees):
         co = random_triangle(12, 0)
         with pytest.raises(ValueError, match="ascending"):

@@ -154,6 +154,12 @@ class TestSpectralSet:
         inside = bool(SpectralSet("ball", h, "l2").contains(n1, n2))
         assert inside == (n1 * n1 + n2 * n2 <= h * h)
 
+    @pytest.mark.parametrize("degree", [2.5, -1])
+    def test_rejects_fractional_or_negative_degree(self, degree):
+        # a fractional degree used to pass here and fail later in dfs_fourier_sum with an IndexError
+        with pytest.raises(ValueError, match="integers >= 0"):
+            SpectralSet("rectangle", degree, half=True)
+
 
 class TestComputeCoefficients:
     def test_constant(self):
@@ -870,3 +876,17 @@ class TestCoeffIO:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             coeff_io_read(path)
+
+    def test_read_holds_the_file_at_most_twice(self, tmp_path):
+        # the file's bytes and the decoded table; a copy of the payload bytes would make it three times
+        table = CoefficientTable(np.ones((512, 512), dtype=complex))
+        path = tmp_path / "big.dfsc"
+        coeff_io_write(table, path)
+        tracemalloc.start()
+        try:
+            back = coeff_io_read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, table.values)
+        assert peak <= 2.2 * path.stat().st_size

@@ -98,6 +98,11 @@ class TestFNu:
         with pytest.raises(ValueError, match="nu"):
             spec_from_dict({"kind": "f_nu", "nu": nu})
 
+    @pytest.mark.parametrize("kind", ["nope", ["f_nu"], {"kind": "f_nu"}], ids=["name", "list", "object"])
+    def test_rejects_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown test function kind"):
+            spec_from_dict({"kind": kind})
+
     def test_rejects_bad_cut(self):
         with pytest.raises(ValueError, match="a must lie"):
             TestFunctionSpec("f_nu", a=1.5)
