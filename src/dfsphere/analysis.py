@@ -14,6 +14,7 @@ import numpy as np
 
 from .geometry import dfs_coord
 from .grids import LatLonGrid, sample_sphere, dfs_double
+from .sh_reference import sh_synthesize
 from .spectral import SpectralSet, _check_degrees, _grid_sum, compute_coefficients
 
 __all__ = [
@@ -178,8 +179,6 @@ def error_table(
         sh_error = None
         if sh_coefficients is not None:
             if not rows:  # one pass serves every degree; timed within the first row
-                from .sh_reference import sh_synthesize
-
                 sh_sums = sh_synthesize(sh_coefficients, t.reference.lambdas, t.reference.thetas, degrees)
             sh_error = float(np.max(np.abs(sh_sums[len(rows)] - t.reference.values)))
         rows.append(ErrorTableRow(
@@ -242,7 +241,7 @@ def decay_report(table, k, alpha, r_min=1, r_max=None):
     n1 = table.n1_values
     n2 = table.n2_values
     radius = np.abs(n1)[None, :] + np.abs(n2)[:, None]
-    limit = min(int(np.max(np.abs(n1))), int(np.max(np.abs(n2))))
+    limit = table.max_degree + 1
     r_max = limit if r_max is None else r_max
     if r_max > limit:
         raise ValueError(f"shells above radius {limit} are incomplete in this table")

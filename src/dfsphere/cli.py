@@ -22,22 +22,19 @@ import numpy as np
 
 from . import analysis, spectral, testfns
 from .grids import dfs_double, grid_io_write, sample_sphere
+from .sh_reference import sh_analyze
 from .spectral import _check_degrees, coeff_io_write, compute_coefficients
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _load_function(args):
     if args.spec:
         with open(args.spec) as fh:
             raw = json.load(fh)
-        terms = raw["terms"] if isinstance(raw, dict) and "terms" in raw else raw
-        if isinstance(terms, dict):
-            terms = [terms]
+        terms = raw.get("terms") if isinstance(raw, dict) else None
+        if not isinstance(terms, list):
+            raise ValueError(f'{args.spec}: a spec must be an object whose "terms" is a list of term objects')
         specs = [testfns.spec_from_dict(t) for t in terms]
     else:
         specs = testfns.preset(args.preset)
@@ -48,15 +45,15 @@ def _parse_degrees(raw):
     try:
         degrees = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"could not parse degree list {raw!r}")
+        raise ValueError(f"could not parse degree list {raw!r}")
     if _check_degrees(degrees)[0] < 1:
-        raise ConfigError("degrees must be positive")
+        raise ValueError("degrees must be positive")
     return degrees
 
 
 def _check_grid(n):
     if n < 4 or n % 2:
-        raise ConfigError(f"grid size must be even and >= 4, got {n}")
+        raise ValueError(f"grid size must be even and >= 4, got {n}")
     return n
 
 
@@ -83,7 +80,7 @@ def cmd_transform(args):
     f, name = _load_function(args)
     n = _check_grid(args.grid)
     if not args.out:
-        raise ConfigError("transform requires --out for the grid file")
+        raise ValueError("transform requires --out for the grid file")
     grid = dfs_double(sample_sphere(f, n, n // 2))
     violation = grid.bmc_violation()
     grid_io_write(grid, args.out)
@@ -97,7 +94,7 @@ def cmd_coeffs(args):
     f, name = _load_function(args)
     n = _check_grid(args.grid)
     if not args.out:
-        raise ConfigError("coeffs requires --out for the coefficient file")
+        raise ValueError("coeffs requires --out for the coefficient file")
     table = compute_coefficients(dfs_double(sample_sphere(f, n, n // 2)))
     coeff_io_write(table, args.out)
     print(f"coeffs {name}: {n} x {n} grid -> {args.out}")
@@ -110,9 +107,9 @@ def cmd_approx(args):
     n = _check_grid(args.grid)
     h = _parse_degrees(args.degrees)[-1]
     if not args.out:
-        raise ConfigError("approx requires --out for the reconstruction grid file")
+        raise ValueError("approx requires --out for the reconstruction grid file")
     if n < 4 * h:
-        raise ConfigError(f"grid {n} under-samples degree {h}; need >= {4 * h} (4x oversampling)")
+        raise ValueError(f"grid {n} under-samples degree {h}; need >= {4 * h} (4x oversampling)")
     (t,) = analysis.truncations(f, [h], args.shape, args.norm, grid_size=n)
     grid_io_write(dfs_double(t.synthesis), args.out)
     ref = t.reference
@@ -126,10 +123,7 @@ def cmd_error_table(args):
     degrees = _parse_degrees(args.degrees)
     sh_coeffs = None
     if args.sh:
-        from .sh_reference import sh_analyze
-
         res = max(2 * degrees[-1] + 2, 64)
-        res += res % 2
         sh_coeffs = sh_analyze(sample_sphere(f, 2 * res, res), degrees[-1])
     rows = analysis.error_table(
         f,
@@ -310,7 +304,7 @@ def main(argv=None):
         args.shape = "rectangle"
     try:
         return args.handler(args)
-    except (ConfigError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,14 +83,11 @@ class TorusGrid:
     def thetas(self):
         return _periodic_nodes(self.n_theta)
 
-    def glide_image(self):
-        """Grid with the glide reflection applied as an index permutation."""
-        rows = (-np.arange(self.n_theta)) % self.n_theta
-        return np.roll(self.values[rows], self.n_lambda // 2, axis=1)
-
     def bmc_violation(self):
-        """Max absolute deviation from the glide-reflection identity."""
-        return float(np.max(np.abs(self.values - self.glide_image())))
+        """Max absolute deviation from the glide-reflection identity, the reflection taken as an index permutation."""
+        rows = (-np.arange(self.n_theta)) % self.n_theta
+        glide_image = np.roll(self.values[rows], self.n_lambda // 2, axis=1)
+        return float(np.max(np.abs(self.values - glide_image)))
 
 
 @dataclass
@@ -188,10 +185,9 @@ def dfs_double(g):
     for pole in (out[0], out[nth]):
         pole += np.roll(pole, shift)
         pole *= 0.5
-    if nth > 1:
-        # rows theta_j, j = nth-1 .. 1, turned by half a revolution in lambda
-        out[1:nth, :shift] = g.values[nth - 1:0:-1, shift:]
-        out[1:nth, shift:] = g.values[nth - 1:0:-1, :shift]
+    # rows theta_j, j = nth-1 .. 1, turned by half a revolution in lambda
+    out[1:nth, :shift] = g.values[nth - 1:0:-1, shift:]
+    out[1:nth, shift:] = g.values[nth - 1:0:-1, :shift]
     return TorusGrid(out, bmc=True)
 
 

@@ -89,11 +89,18 @@ class SHCoefficients:
     """Triangular store of expansion coefficients up to a degree bound.
 
     ``values[n, k + degree]`` holds the coefficient of Y_n^k; entries with
-    |k| > n are zero padding.
+    |k| > n are zero padding. ``values`` is stored as complex128 and must have
+    the shape (degree + 1, 2 degree + 1).
     """
 
     degree: int
     values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.ascontiguousarray(self.values, dtype=complex)
+        shape = (self.degree + 1, 2 * self.degree + 1)
+        if self.values.shape != shape:
+            raise ValueError(f"degree-{self.degree} coefficients need shape {shape}, got {self.values.shape}")
 
     def coeff(self, n, k):
         if abs(k) > n or n > self.degree:

@@ -142,14 +142,6 @@ class FoldedCoefficientTable:
         if self.values.ndim != 2 or self.values.shape[1] % 2:
             raise ValueError("folded table must be 2-d with an even number of columns")
 
-    @property
-    def n1_values(self):
-        return _centered(self.values.shape[1])
-
-    @property
-    def n2_values(self):
-        return np.arange(self.values.shape[0])
-
 
 @dataclass(frozen=True)
 class SpectralSet:
@@ -369,7 +361,8 @@ def basis_e(n1, n2, lam, theta):
     exp(i <n, x>) + (-1)^{n1} exp(i <M(n), x>) for n2 > 0, and exp(i n1 x1)
     for n2 = 0. Glide-reflection invariant for n2 > 0 and for even n1; the
     n2 = 0, odd-n1 members pick up a factor -1 under the glide reflection
-    (their coefficients vanish for any doubled grid).
+    (their coefficients vanish for any doubled grid). It is evaluated as
+    exp(i n1 x1) times :func:`_colatitude_factor`, one exponential per point.
 
     The orthogonal basis is the members with n2 > 0 or n1 even. On colatitudes
     in [0, pi] an (odd n1, 0) member is exp(i n1 x1) times a constant, and the
@@ -381,12 +374,14 @@ def basis_e(n1, n2, lam, theta):
     if n2 < 0:
         raise ValueError("basis index requires n2 >= 0")
     lam = np.asarray(lam, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    return np.exp(1j * n1 * lam) * _colatitude_factor(n1, n2, np.asarray(theta, dtype=float))
+
+
+def _colatitude_factor(n1, n2, theta):
+    """e_n(0, theta): 1 for n2 = 0, else 2 cos(n2 theta) for even n1 and 2i sin(n2 theta) for odd n1."""
     if n2 == 0:
-        return np.exp(1j * n1 * lam) * np.ones_like(theta)
-    return np.exp(1j * (n1 * lam + n2 * theta)) + _alternating(n1) * np.exp(
-        1j * (n1 * lam - n2 * theta)
-    )
+        return np.ones_like(theta)
+    return 2.0 * np.cos(n2 * theta) if n1 % 2 == 0 else 2j * np.sin(n2 * theta)
 
 
 def orthogonal_indices(h):
@@ -451,8 +446,10 @@ def basis_gram(indices):
     that sum is the Hadamard product of two Grams over 1-D nodes.
     """
     lam, theta, w = quadrature_rule(512)
-    e_lam = np.exp(1j * np.outer([n1 for n1, _ in indices], lam))
-    e_theta = np.array([basis_e(n1, n2, 0.0, theta) for n1, n2 in indices])
+    n1 = np.array([a for a, _ in indices], dtype=int)
+    n = np.arange(min(n1, default=0), max(n1, default=0) + 1)
+    e_lam = _phases(_angle_phases(lam), n)[n1 - n[0]]
+    e_theta = np.array([_colatitude_factor(a, b, theta) for a, b in indices])
     return w * (e_lam @ e_lam.conj().T) * (e_theta @ e_theta.conj().T)
 
 
@@ -508,7 +505,7 @@ def unfold_coefficients(folded):
     """Rebuild the symmetrized full table from its half-domain fold."""
     n_half, N1 = folded.values.shape
     N2 = 2 * (n_half - 1)
-    sgn = _alternating(folded.n1_values)[None, :]
+    sgn = _alternating(_centered(N1))[None, :]
     full = np.empty((N2, N1), dtype=complex)
     full[N2 // 2:] = folded.values[: N2 // 2]
     full[0] = folded.values[N2 // 2]

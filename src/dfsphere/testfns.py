@@ -146,6 +146,8 @@ def eval_spec(spec, points):
 def spherical_function(specs):
     """Sum of terms as a single callable over arrays of unit vectors."""
     specs = list(specs)
+    if not specs:
+        raise ValueError("a spherical function needs at least one term")
 
     def f(points):
         out = eval_spec(specs[0], points)
@@ -209,13 +211,14 @@ def spec_to_dict(spec):
 
 
 def spec_from_dict(d):
-    nu = d.get("nu", 3)
-    if not float(nu).is_integer():
+    """The term of a JSON object; ValueError for a non-object, a missing "kind" or a field not made of numbers."""
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ValueError(f'a term must be an object with a "kind", got {d!r}')
+    try:
+        nu, a, weight = float(d.get("nu", 3)), float(d.get("a", 0.5)), float(d.get("weight", 1.0))
+        rotation = np.asarray(d.get("rotation", np.eye(3)), dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"malformed term {d!r}: {exc}") from None
+    if not nu.is_integer():
         raise ValueError(f"nu must be an integer, got {nu}")
-    return TestFunctionSpec(
-        kind=d["kind"],
-        nu=int(nu),
-        a=float(d.get("a", 0.5)),
-        rotation=np.asarray(d.get("rotation", np.eye(3)), dtype=float),
-        weight=float(d.get("weight", 1.0)),
-    )
+    return TestFunctionSpec(kind=d["kind"], nu=int(nu), a=a, rotation=rotation, weight=weight)

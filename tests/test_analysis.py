@@ -73,6 +73,10 @@ class TestZetaTailSum:
         with pytest.raises(ValueError, match="diverges"):
             zeta_tail_sum(1, 1.0, 10)
 
+    def test_rejects_no_shell(self):
+        with pytest.raises(ValueError, match="one shell"):
+            zeta_tail_sum(3, 0.5, 0)
+
     def test_riemann_zeta_matches_scipy(self):
         s = np.concatenate([1.0 + np.geomspace(1e-6, 1.0, 30), np.linspace(2.0, 60.0, 59)])
         ours = np.array([_riemann_zeta(v) for v in s])

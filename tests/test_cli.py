@@ -65,10 +65,22 @@ class TestCoeffs:
         table = coeff_io_read(out)
         assert_allclose(table.coeff(0, 1), 1.0, atol=1e-13)  # 2 cos(theta) / 2
 
-    def test_malformed_spec_exits_two(self, tmp_path):
-        spec = tmp_path / "f.json"
-        spec.write_text("{not json")
-        assert run(["coeffs", "--spec", str(spec), "--grid", "32", "--out", str(tmp_path / "c")]) == 2
+    def test_malformed_spec_exits_two(self, tmp_path, capsys):
+        # only {"terms": [<term object>, ...]} is a spec; after the bad JSON the payloads used
+        # to end in a KeyError, AttributeError, TypeError, IndexError and TypeError, each with exit 1
+        spec, out = tmp_path / "f.json", tmp_path / "c"
+        for payload in ["{not json", '{"terms": [{"weight": 1.0}]}', "[3]", '{"terms": 3}', '{"terms": []}',
+                        '{"terms": [{"kind": "f_nu", "a": null}]}']:
+            spec.write_text(payload)
+            assert run(["coeffs", "--spec", str(spec), "--grid", "32", "--out", str(out)]) == 2, payload
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
+
+    def test_missing_out_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["coeffs", "--preset", "coordinate-z", "--grid", "16"]) == 2
+        assert "requires --out" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestApprox:
@@ -97,6 +109,12 @@ class TestApprox:
         table = coefficient_table_for(spherical_function(preset("f3-combo")), 12, grid_size=64)
         expected = partial_sum_grid(table, SpectralSet(shape[0], 12, *shape[1:]), 512, 512).values
         assert np.max(np.abs(grid.values - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_missing_out_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["approx", "--preset", "coordinate-z", "--grid", "16", "--degrees", "2"]) == 2
+        assert "requires --out" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_undersampled_grid_exits_two(self, tmp_path):
         code = run([

@@ -152,6 +152,10 @@ class TestInverse:
         with pytest.raises(ValueError, match="unit sphere"):
             dfs_coord_inverse(np.array([0.0, 0.0, 1.1]))
 
+    def test_rejects_points_without_three_coordinates(self):
+        with pytest.raises(ValueError, match="shape"):
+            dfs_coord_inverse(np.ones((4, 2)))
+
     def test_accepts_within_tolerance(self):
         dfs_coord_inverse(np.array([0.0, 0.0, 1.0 + 5e-10]))
 

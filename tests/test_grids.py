@@ -74,6 +74,10 @@ class TestSampleSphere:
         with pytest.raises(ValueError, match="even"):
             sample_sphere(coord_z, 7, 4)
 
+    def test_rejects_no_colatitude_panel(self):
+        with pytest.raises(ValueError, match="n_theta_half"):
+            sample_sphere(coord_z, 8, 0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_samples(self, bad):
         f = lambda x: np.where(x[..., 2] > 0.9, bad, 1.0)
@@ -173,6 +177,12 @@ class TestGridDtype:
     def test_real_values_are_stored_as_float64(self, grid_type):
         assert grid_type(np.arange(16).reshape(4, 4)).values.dtype == np.float64
         assert grid_type(np.ones((4, 4), dtype=np.float32)).values.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 4, 4)], ids=["1-d", "3-d"])
+    @pytest.mark.parametrize("grid_type", [TorusGrid, LatLonGrid])
+    def test_rejects_non_2d_values(self, grid_type, shape):
+        with pytest.raises(ValueError, match="2-d"):
+            grid_type(np.ones(shape))
 
     @pytest.mark.parametrize("grid_type", [TorusGrid, LatLonGrid])
     def test_complex_values_stay_complex128(self, grid_type):

@@ -118,6 +118,11 @@ def test_clenshaw_curtis_integrates_polynomials():
         assert_allclose(w @ x**deg, exact, atol=1e-13)
 
 
+def test_clenshaw_curtis_needs_a_panel():
+    with pytest.raises(ValueError, match="panel"):
+        clenshaw_curtis_weights(0)
+
+
 class TestAnalyze:
     def test_recovers_single_harmonic(self):
         co = sh_analyze(sample_sphere(synth_harmonic(3, 2), 32, 16), h=6)
@@ -173,6 +178,25 @@ class TestAnalyze:
             for k in range(n + 1):
                 worst = max(worst, abs(co.coeff(n, -k) - (-1.0) ** k * np.conj(co.coeff(n, k))))
         assert co.conjugate_symmetry_violation() == worst
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (1, -2), (4, 0)])
+    def test_coeff_rejects_index_outside_triangle(self, n, k):
+        with pytest.raises(ValueError, match="triangle"):
+            random_triangle(3, 0).coeff(n, k)
+
+    @pytest.mark.parametrize("degree, shape", [(5, (2, 3)), (1, (2, 4)), (1, (3,)), (-1, (0, 0))],
+                             ids=["lower-degree", "wide", "1-d", "negative-degree"])
+    def test_rejects_values_of_another_degree(self, degree, shape):
+        # values of the wrong shape used to be accepted and failed later with an IndexError
+        with pytest.raises(ValueError, match="need shape"):
+            SHCoefficients(degree, np.ones(shape))
+
+    def test_real_or_list_values_are_stored_as_complex(self):
+        # real values used to fail in the sums with "output array has wrong dimensions", a list with a TypeError
+        for values in (np.eye(2, 3), np.eye(2, 3).tolist()):  # Y_1^0 and a padding entry
+            co = SHCoefficients(1, values)
+            assert co.values.dtype == np.complex128
+            assert_allclose(sh_partial_sums(co, np.array([0.6, 0.0, 0.8]), [1])[0], np.sqrt(3 / (4 * np.pi)) * 0.8)
 
     def test_conjugate_symmetry_nan_propagates(self):
         f = spherical_function(preset("f3-combo"))

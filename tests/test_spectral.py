@@ -11,6 +11,7 @@ from dfsphere.geometry import UNIT_NORM_TOL, _unit_phases, dfs_coord, dfs_coord_
 from dfsphere.grids import LatLonGrid, TorusGrid, dfs_double, sample_sphere
 from dfsphere.spectral import (
     CoefficientTable,
+    FoldedCoefficientTable,
     SpectralSet,
     basis_b,
     basis_e,
@@ -24,6 +25,7 @@ from dfsphere.spectral import (
     orthogonal_indices,
     partial_sum_grid,
     partial_sum_torus,
+    quadrature_rule,
     unfold_coefficients,
 )
 from dfsphere.analysis import truncations
@@ -159,6 +161,24 @@ class TestSpectralSet:
         # a fractional degree used to pass here and fail later in dfs_fourier_sum with an IndexError
         with pytest.raises(ValueError, match="integers >= 0"):
             SpectralSet("rectangle", degree, half=True)
+
+    @pytest.mark.parametrize("shape, norm", [("disk", "l2"), ("ball", "linf")], ids=["shape", "norm"])
+    def test_rejects_unknown_shape_or_norm(self, shape, norm):
+        with pytest.raises(ValueError, match="unknown"):
+            SpectralSet(shape, 4, norm)
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("shape", [(8,), (2, 4, 4), (6, 5), (5, 6)], ids=["1-d", "3-d", "odd-n1", "odd-n2"])
+    def test_rejects_non_2d_or_odd_table(self, shape):
+        with pytest.raises(ValueError, match="2-d|even"):
+            CoefficientTable(np.ones(shape))
+
+    @pytest.mark.parametrize("n1, n2", [(8, 0), (-9, 0), (0, 8), (0, -9), ([0, 8], [0, 0])])
+    def test_coeff_rejects_index_outside_table(self, n1, n2):
+        # a 16 x 16 table holds n1, n2 in [-8, 8)
+        with pytest.raises(ValueError, match="outside the table"):
+            cos_theta_table(16).coeff(n1, n2)
 
 
 class TestComputeCoefficients:
@@ -411,6 +431,15 @@ class TestPartialSums:
         with pytest.raises(ValueError, match="full-domain"):
             partial_sum_torus(table, SpectralSet("rectangle", 1, half=True), np.zeros(1), np.zeros(1))
 
+    @pytest.mark.parametrize("omega, size, match", [
+        (SpectralSet("rectangle", 1, half=True), 16, "full-domain"),
+        (SpectralSet("rectangle", 4), 8, "cannot hold"),
+    ], ids=["half-domain", "target-below-block"])
+    def test_grid_path_rejects_half_domain_set_or_small_target(self, omega, size, match):
+        # the degree-4 block is 9 x 9, more rows than an 8 x 8 target has
+        with pytest.raises(ValueError, match=match):
+            partial_sum_grid(cos_theta_table(16), omega, size, size)
+
 
 class TestPhases:
     @settings(max_examples=25, deadline=None)
@@ -486,6 +515,10 @@ def b_func(n1, n2):
 
 
 class TestWeightedInnerProduct:
+    def test_quadrature_rule_needs_four_nodes(self):
+        with pytest.raises(ValueError, match="at least 4"):
+            quadrature_rule(3)
+
     def test_constant(self):
         one = lambda p: np.ones(np.asarray(p).shape[:-1])
         val = gram_matrix([one, one], n_quad=128)[0, 1]
@@ -715,6 +748,11 @@ class TestFoldedBlock:
 
 
 class TestFold:
+    @pytest.mark.parametrize("shape", [(8,), (5, 5)], ids=["1-d", "odd-columns"])
+    def test_folded_table_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="folded table"):
+            FoldedCoefficientTable(np.ones(shape))
+
     def test_fold_then_unfold_idempotent(self):
         table = compute_coefficients(dfs_double(sample_sphere(combo(), 32, 16)))
         folded = fold_coefficients(table)
@@ -867,6 +905,15 @@ class TestCoeffIO:
         raw[40] = 255  # the tag follows magic, version and four index bounds
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="normalization tag 255"):
+            coeff_io_read(path)
+
+    def test_rejects_odd_dimensions(self, tmp_path):
+        import struct
+
+        # centered ranges n1 in [-2, 3), n2 in [-3, 3): a 6 x 5 table with its full payload
+        path = tmp_path / "odd.dfsc"
+        path.write_bytes(struct.pack("<4sIqqqqB", b"DFSC", 1, -2, 3, -3, 3, 0) + bytes(16 * 6 * 5))
+        with pytest.raises(ValueError, match="even"):
             coeff_io_read(path)
 
     def test_rejects_truncation(self, tmp_path):

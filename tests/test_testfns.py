@@ -47,6 +47,10 @@ class TestRotation:
         with pytest.raises(ValueError, match="orthogonal"):
             TestFunctionSpec("f_nu", rotation=np.eye(3) * 1.001)
 
+    def test_spec_rejects_2x2_rotation(self):
+        with pytest.raises(ValueError, match="3x3"):
+            TestFunctionSpec("f_nu", rotation=np.eye(2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_spec_rejects_non_finite_rotation(self, bad):
         rotation = np.eye(3)
@@ -239,6 +243,19 @@ class TestPresetsAndSerialization:
         assert_allclose(
             spherical_function(back)(p), spherical_function(specs)(p), atol=1e-15
         )
+
+    @pytest.mark.parametrize("term", [
+        3, ["f_nu"], {"weight": 1.0}, {"kind": "f_nu", "a": None}, {"kind": "f_nu", "rotation": {"x": 1}},
+    ], ids=["number", "list", "no-kind", "null-cut", "object-rotation"])
+    def test_rejects_malformed_term(self, term):
+        # each used to escape as an AttributeError, KeyError or TypeError
+        with pytest.raises(ValueError, match="term"):
+            spec_from_dict(term)
+
+    def test_function_needs_a_term(self):
+        # an empty sum used to fail with an IndexError on its first evaluation
+        with pytest.raises(ValueError, match="at least one term"):
+            spherical_function([])
 
     def test_real_valued_coefficients_conjugate_symmetric(self):
         from dfsphere.spectral import compute_coefficients
