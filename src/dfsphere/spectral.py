@@ -15,7 +15,7 @@ which is what allows the series to be folded onto the half domain Z x N0 and
 pushed down to the sphere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,9 +74,16 @@ class CoefficientTable:
 
     ``values[j, k]`` is c_(n1, n2) with n2 = j - N2//2 and n1 = k - N1//2, so
     the index ranges are n1 in [-N1/2, N1/2) and n2 in [-N2/2, N2/2).
+
+    A table that :func:`compute_coefficients` made from a real (float64) grid
+    whose ``bmc`` flag is set carries a private mark, so that the partial sums
+    take only its n1 >= 0 columns (see :func:`_truncated_block`). The mark is
+    no constructor argument: a table built by hand, read from a file or
+    unfolded never carries it, and its sums use every column.
     """
 
     values: np.ndarray
+    _real_bmc: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=complex)
@@ -224,10 +231,17 @@ def compute_coefficients(grid):
     times that of its imaginary part, so a real grid and its complex cast give
     the same bits. The table is not symmetrized, so a BMC violation of the
     grid shows in it.
+
+    The table of a real grid whose ``bmc`` flag is set is marked as such: its
+    coefficients satisfy c_{-n} = conj(c_n) and c_n = (-1)^{n1} c_{M(n)}, so
+    every partial sum of it is real and the sums read only the n1 >= 0
+    columns. The values are the same as without the mark.
     """
     values = grid.values
     if np.isrealobj(values):
-        return CoefficientTable(_real_coefficients(values))
+        table = CoefficientTable(_real_coefficients(values))
+        table._real_bmc = grid.bmc
+        return table
     table = _real_coefficients(values.real)
     if np.any(values.imag):
         table += 1j * _real_coefficients(values.imag)
@@ -235,16 +249,22 @@ def compute_coefficients(grid):
 
 
 def _truncated_block(table, omega):
-    """(n1, n2, block) with block[j, k] the coefficient of exp(i (n1[k] x1 + n2[j] x2)) in the sum over ``omega``.
+    """(n1, n2, block, real): block[j, k] is the coefficient of exp(i (n1[k] x1 + n2[j] x2)) in the sum over ``omega``.
 
     The index ranges are the square |n1|, |n2| <= degree; block[j, k] =
     c_(n1[k], n2[j]) on members and 0 elsewhere. A half-domain set gives the
     folded series sum c_n e_n: as e_n pairs exp(i <n, x>) with (-1)^{n1}
     exp(i <M(n), x>), rows -j are then (-1)^{n1} times rows j. ``omega=None``
     gives a copy of the whole table.
+
+    For a table marked by :func:`compute_coefficients` as that of a real BMC
+    grid, ``real`` is True and the block holds only the columns n1 = 0 ..
+    degree, those with n1 > 0 doubled: the sum over omega is real, and it is
+    the real part of the sum over these columns. Otherwise ``real`` is False
+    and the block holds every column.
     """
     if omega is None:
-        return table.n1_values, table.n2_values, table.values.copy()
+        return table.n1_values, table.n2_values, table.values.copy(), False
     if omega.degree > table.max_degree:
         raise ValueError(
             f"truncation degree {omega.degree} exceeds the table range "
@@ -252,16 +272,25 @@ def _truncated_block(table, omega):
         )
     N2, N1 = table.values.shape
     n = np.arange(-omega.degree, omega.degree + 1)
-    block = table.values[np.ix_(n + N2 // 2, n + N1 // 2)]
-    block[~omega.contains(*np.meshgrid(n, n))] = 0.0
+    real = table._real_bmc
+    n1 = n[omega.degree :] if real else n
+    block = table.values[np.ix_(n + N2 // 2, n1 + N1 // 2)]
+    block[~omega.contains(*np.meshgrid(n1, n))] = 0.0
     if omega.half:
-        block[: omega.degree] = _alternating(n) * block[: omega.degree : -1]
-    return n, n, block
+        block[: omega.degree] = _alternating(n1) * block[: omega.degree : -1]
+    if real:
+        block[:, 1:] *= 2.0
+    return n1, n, block, real
 
 
 def _angle_phases(x):
-    """exp(i x) of an angle array: one cos and one sin, into the real and imaginary views of one array."""
+    """exp(i x) of an angle array: one cos and one sin, into the real and imaginary views of one array.
+
+    Raises ValueError for a non-finite angle.
+    """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("angles must be finite")
     w = np.empty(x.shape, dtype=complex)
     np.cos(x, out=w.real)
     np.sin(x, out=w.imag)
@@ -288,13 +317,14 @@ def _phases(w, n):
     return out
 
 
-def _separable_sum(n1, n2, block, w_lam, w_theta):
+def _separable_sum(n1, n2, block, real, w_lam, w_theta):
     """sum_{j,k} block[j, k] w_lam**n1[k] w_theta**n2[j] at unit phases w_lam = exp(i lam), w_theta = exp(i theta).
 
     Each term factors as exp(i n1 lam) exp(i n2 theta), so the sum is
     sum_k (block.T @ E_theta)[k, p] E_lam[k, p] over two (k, p) tables of
-    :func:`_phases`. Points go in slices of at most 2^21 table entries, below
-    about 70 MiB.
+    :func:`_phases`. With ``real`` set only its real part is kept, as a
+    complex value with imaginary part 0 (see :func:`_truncated_block`).
+    Points go in slices of at most 2^21 table entries, below about 70 MiB.
     """
     shape = np.broadcast(w_lam, w_theta).shape
     w_lam, w_theta = (np.broadcast_to(w, shape).ravel() for w in (w_lam, w_theta))
@@ -302,7 +332,8 @@ def _separable_sum(n1, n2, block, w_lam, w_theta):
     step = max(1, 2**21 // (len(n1) + len(n2)))
     for s in range(0, out.size, step):
         e_theta = block.T @ _phases(w_theta[s : s + step], n2)
-        out[s : s + step] = np.einsum("kp,kp->p", e_theta, _phases(w_lam[s : s + step], n1))
+        terms = np.einsum("kp,kp->p", e_theta, _phases(w_lam[s : s + step], n1))
+        out[s : s + step] = terms.real if real else terms
     return out.reshape(shape) if shape else complex(out[0])
 
 
@@ -310,7 +341,9 @@ def partial_sum_torus(table, omega, lam, theta):
     """Evaluate the partial Fourier sum over a full-domain set at torus points.
 
     sum_{n in omega} c_n exp(i <n, x>) by the separable kernel; ``omega=None``
-    sums the whole table, and scalar angles give a complex. Use
+    sums the whole table, and scalar angles give a complex. A table of a real
+    BMC grid sums its n1 >= 0 columns, with imaginary part 0 (see
+    :func:`_truncated_block`). A non-finite angle raises ValueError. Use
     :func:`partial_sum_grid` for grid-aligned evaluation via the inverse FFT.
     """
     if omega is not None and omega.half:
@@ -324,21 +357,29 @@ def _grid_sum(table, omega, n_theta, n_lambda, rows):
     The block's columns alone are zero-padded to n_theta and transformed along
     theta; the requested rows are then placed in the lambda spectrum and
     transformed along lambda, so neither the padded 2-d spectrum nor the rows
-    left out are ever formed. A half-domain set gives the folded series; no
-    symmetry of the table is assumed. Returns shape (len(rows), n_lambda).
+    left out are ever formed. A half-domain set gives the folded series. A
+    block of n1 >= 0 columns is halved back and transformed by ``irfft``,
+    which adds the conjugate columns itself; the result stays complex, with
+    imaginary part 0. Returns shape (len(rows), n_lambda).
     """
-    n1, n2, block = _truncated_block(table, omega)
-    if len(n2) > n_theta or len(n1) > n_lambda:
+    n1, n2, block, real = _truncated_block(table, omega)
+    width = 2 * len(n1) - 1 if real else len(n1)
+    if len(n2) > n_theta or width > n_lambda:
         raise ValueError(
-            f"target grid {n_theta} x {n_lambda} cannot hold the {len(n2)} x {len(n1)} coefficient block"
+            f"target grid {n_theta} x {n_lambda} cannot hold the {len(n2)} x {width} coefficient block"
         )
-    block *= _alternating(n2)[:, None] * _alternating(n1)[None, :]
+    sign1 = _alternating(n1)
+    if real:
+        sign1[1:] *= 0.5  # exact, as the doubling was
+    block *= _alternating(n2)[:, None] * sign1[None, :]
     columns = np.zeros((n_theta, len(n1)), dtype=complex)
     columns[n2 % n_theta] = block
     # norm="forward" leaves the inverse transforms unscaled, as the sum is
     columns = np.fft.ifft(columns, axis=0, norm="forward")[rows]
-    spec = np.zeros((columns.shape[0], n_lambda), dtype=complex)
+    spec = np.zeros((columns.shape[0], n_lambda // 2 + 1 if real else n_lambda), dtype=complex)
     spec[:, n1 % n_lambda] = columns
+    if real:
+        return np.fft.irfft(spec, n_lambda, axis=1, norm="forward").astype(complex)
     return np.fft.ifft(spec, axis=1, norm="forward")
 
 
@@ -459,7 +500,8 @@ def dfs_fourier_sum(table, omega, points):
     sum over n in omega (a half-domain set) of c_n b_n(xi), with coefficients
     read from a full coefficient table: the folded block of
     :func:`_truncated_block`, evaluated by the separable kernel at the unit
-    phases of the points.
+    phases of the points. A table of a real BMC grid sums its n1 >= 0
+    columns, with imaginary part 0.
     """
     if not omega.half:
         raise ValueError("dfs_fourier_sum expects a half-domain spectral set")

@@ -210,15 +210,20 @@ def spec_to_dict(spec):
     }
 
 
+def _number(x, what, term):
+    """``x`` as a float; only a JSON number is one, not a string or boolean that ``float`` would read."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"malformed term {term!r}: {what} must be a number, got {x!r}")
+    return float(x)
+
+
 def spec_from_dict(d):
     """The term of a JSON object; ValueError for a non-object, a missing "kind" or a field not made of numbers."""
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError(f'a term must be an object with a "kind", got {d!r}')
-    try:
-        nu, a, weight = float(d.get("nu", 3)), float(d.get("a", 0.5)), float(d.get("weight", 1.0))
-        rotation = np.asarray(d.get("rotation", np.eye(3)), dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"malformed term {d!r}: {exc}") from None
+    nu, a, weight = (_number(d.get(k, v), k, d) for k, v in (("nu", 3), ("a", 0.5), ("weight", 1.0)))
+    rotation = np.asarray(d.get("rotation", np.eye(3)), dtype=object)
+    rotation = np.array([_number(x, "a rotation entry", d) for x in rotation.ravel()]).reshape(rotation.shape)
     if not nu.is_integer():
         raise ValueError(f"nu must be an integer, got {nu}")
     return TestFunctionSpec(kind=d["kind"], nu=int(nu), a=a, rotation=rotation, weight=weight)

@@ -66,11 +66,14 @@ class TestCoeffs:
         assert_allclose(table.coeff(0, 1), 1.0, atol=1e-13)  # 2 cos(theta) / 2
 
     def test_malformed_spec_exits_two(self, tmp_path, capsys):
-        # only {"terms": [<term object>, ...]} is a spec; after the bad JSON the payloads used
-        # to end in a KeyError, AttributeError, TypeError, IndexError and TypeError, each with exit 1
+        # only {"terms": [<term object>, ...]} is a spec; after the bad JSON the next five payloads
+        # used to end in a KeyError, AttributeError, TypeError, IndexError and TypeError, each with
+        # exit 1; the string weight and nu were read as the numbers 2 and 3, with exit 0
         spec, out = tmp_path / "f.json", tmp_path / "c"
         for payload in ["{not json", '{"terms": [{"weight": 1.0}]}', "[3]", '{"terms": 3}', '{"terms": []}',
-                        '{"terms": [{"kind": "f_nu", "a": null}]}']:
+                        '{"terms": [{"kind": "f_nu", "a": null}]}',
+                        '{"terms": [{"kind": "coordinate", "weight": "2"}]}',
+                        '{"terms": [{"kind": "f_nu", "nu": "3"}]}', '{"terms": [{"kind": "f_nu", "a": true}]}']:
             spec.write_text(payload)
             assert run(["coeffs", "--spec", str(spec), "--grid", "32", "--out", str(out)]) == 2, payload
             assert capsys.readouterr().err.startswith("error: ")

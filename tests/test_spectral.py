@@ -30,7 +30,7 @@ from dfsphere.spectral import (
 )
 from dfsphere.analysis import truncations
 from dfsphere.sh_reference import SHCoefficients, sh_partial_sums
-from dfsphere.spectral import _grid_sum, _phases, _truncated_block
+from dfsphere.spectral import _angle_phases, _grid_sum, _phases, _truncated_block
 from dfsphere.testfns import spherical_function, standard_combination
 
 
@@ -105,6 +105,14 @@ def doubled_tables(draw):
         values = values + 1j * rng.normal(size=values.shape)
     values[0], values[-1] = values[0, 0], values[-1, 0]  # constant pole rows, as sampled
     return compute_coefficients(dfs_double(LatLonGrid(values)))
+
+
+@st.composite
+def random_tables(draw):
+    """Random complex coefficient tables of even, possibly non-square, sizes."""
+    shape = (2 * draw(st.integers(1, 16)), 2 * draw(st.integers(1, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return CoefficientTable(rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 @st.composite
@@ -666,6 +674,15 @@ class TestDfsFourierSum:
         with pytest.raises(ValueError, match="unit sphere"):
             evaluate(points)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("angle", ["lam", "theta"])
+    def test_torus_sum_rejects_non_finite_angles(self, angle, bad):
+        # used to return NaN
+        angles = {"lam": np.array([0.5, 1.0]), "theta": np.array([0.25, 2.0])}
+        angles[angle][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            partial_sum_torus(cos_theta_table(16), SpectralSet("rectangle", 1), **angles)
+
 
 class TestUnitPhases:
     @settings(max_examples=20, deadline=None)
@@ -719,7 +736,7 @@ class TestFoldedBlock:
         rng = np.random.default_rng(57)
         table = CoefficientTable(rng.normal(size=(14, 12)) + 1j * rng.normal(size=(14, 12)))
         for d in range(table.max_degree + 1):
-            n1, _, block = _truncated_block(table, SpectralSet(shape, d, norm, half=True))
+            n1, _, block, _ = _truncated_block(table, SpectralSet(shape, d, norm, half=True))
             assert np.array_equal(block[:d][::-1], (-1.0) ** n1 * block[d + 1:])
             full = _truncated_block(table, SpectralSet(shape, d, norm))[2]
             assert np.array_equal(block[d:], full[d:])
@@ -745,6 +762,109 @@ class TestFoldedBlock:
         # the north pole maps back to longitude 0 alone, the column n_lambda / 2
         gap = max(np.max(np.abs(got[1:] - expected[1:])), abs(got[0, n_lambda // 2] - expected[0, n_lambda // 2]))
         assert gap <= 1e-13 * np.max(np.abs(t.table.values))
+
+
+def full_block(table, omega):
+    """Every column n1 = -degree .. degree of the truncation block, folded for a half-domain set."""
+    N2, N1 = table.values.shape
+    n = np.arange(-omega.degree, omega.degree + 1)
+    block = table.values[np.ix_(n + N2 // 2, n + N1 // 2)]
+    block[~omega.contains(*np.meshgrid(n, n))] = 0.0
+    if omega.half:
+        block[: omega.degree] = (-1.0) ** n * block[: omega.degree : -1]
+    return n, block
+
+
+def full_point_sum(table, omega, w_lam, w_theta):
+    """The separable sum over the full block at unit phases, in the kernel's order of operations."""
+    n, block = full_block(table, omega)
+    return np.einsum("kp,kp->p", block.T @ _phases(w_theta, n), _phases(w_lam, n))
+
+
+def full_grid_sum(table, omega, n_theta, n_lambda, rows):
+    """The full block's sum on torus grid rows: ifft along theta, then along lambda, as the kernel does."""
+    n, block = full_block(table, omega)
+    columns = np.zeros((n_theta, len(n)), dtype=complex)
+    columns[n % n_theta] = block * (-1.0) ** n[:, None] * (-1.0) ** n[None, :]
+    columns = np.fft.ifft(columns, axis=0, norm="forward")[rows]
+    spec = np.zeros((columns.shape[0], n_lambda), dtype=complex)
+    spec[:, n % n_lambda] = columns
+    return np.fft.ifft(spec, axis=1, norm="forward")
+
+
+@st.composite
+def sums_of(draw, tables):
+    """A table, a set within its range, unit sphere points and an even torus grid that holds the block."""
+    table = draw(tables)
+    kind = draw(st.sampled_from(["rectangle", "l1", "l2"]))
+    shape, norm = ("rectangle", "l2") if kind == "rectangle" else ("ball", kind)
+    omega = SpectralSet(shape, draw(st.integers(0, table.max_degree)), norm, half=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(draw(st.integers(1, 40)), 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    n_theta, n_lambda = (2 * (omega.degree + 1 + draw(st.integers(0, 4))) for _ in range(2))
+    return table, omega, points, n_theta, n_lambda
+
+
+class TestRealHalfPath:
+    """Tables of real BMC grids sum their n1 >= 0 columns; every other table sums them all."""
+
+    def test_only_real_bmc_grids_mark_their_table(self, tmp_path):
+        lat = sample_sphere(combo(), 16, 8)
+        doubled = dfs_double(lat)
+        assert compute_coefficients(doubled)._real_bmc
+        unmarked = [
+            compute_coefficients(TorusGrid(doubled.values)),  # bmc flag not set
+            compute_coefficients(TorusGrid(doubled.values.astype(complex), bmc=True)),
+            compute_coefficients(dfs_double(LatLonGrid(lat.values + 1j))),
+            unfold_coefficients(fold_coefficients(compute_coefficients(doubled))),
+            CoefficientTable(compute_coefficients(doubled).values),
+        ]
+        coeff_io_write(compute_coefficients(doubled), tmp_path / "c.dfsc")
+        unmarked.append(coeff_io_read(tmp_path / "c.dfsc"))
+        assert not any(t._real_bmc for t in unmarked)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sums_of(doubled_tables().filter(lambda t: t._real_bmc)))
+    def test_marked_sums_match_the_full_block_and_are_real(self, case):
+        table, omega, points, n_theta, n_lambda = case
+        plain = CoefficientTable(table.values)
+        full = omega.symmetrized()
+        lam, theta = dfs_coord_inverse(points)
+        pairs = [
+            (partial_sum_torus(table, full, lam, theta), partial_sum_torus(plain, full, lam, theta), full),
+            (_grid_sum(table, omega, n_theta, n_lambda, slice(None)),
+             full_grid_sum(plain, omega, n_theta, n_lambda, slice(None)), omega),
+        ]
+        if omega.half:
+            pairs.append((dfs_fourier_sum(table, omega, points), full_point_sum(plain, omega, *_unit_phases(points)), omega))
+        for got, want, summed in pairs:
+            assert got.dtype == complex and np.all(got.imag == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(full_block(plain, summed)[1]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(sums_of(st.one_of(doubled_tables().filter(lambda t: not t._real_bmc), random_tables())), st.booleans())
+    def test_unmarked_sums_are_the_full_block_bit_for_bit(self, io_dir, case, via_file):
+        # complex-grid and hand-built tables, or either read back from a DFSC file
+        table, omega, points, n_theta, n_lambda = case
+        if via_file:
+            coeff_io_write(table, io_dir / "c.dfsc")
+            table = coeff_io_read(io_dir / "c.dfsc")
+        full = omega.symmetrized()
+        lam, theta = dfs_coord_inverse(points)
+        assert np.array_equal(partial_sum_torus(table, full, lam, theta),
+                              full_point_sum(table, full, *(_angle_phases(x) for x in (lam, theta))))
+        assert np.array_equal(_grid_sum(table, omega, n_theta, n_lambda, slice(None)),
+                              full_grid_sum(table, omega, n_theta, n_lambda, slice(None)))
+        if omega.half:
+            assert np.array_equal(dfs_fourier_sum(table, omega, points), full_point_sum(table, omega, *_unit_phases(points)))
+
+    def test_marked_scalar_is_a_complex_with_zero_imaginary_part(self):
+        table = cos_theta_table(16)
+        value = partial_sum_torus(table, SpectralSet("rectangle", 2), 0.3, 1.1)
+        assert type(value) is complex and value.imag == 0.0
+        value = dfs_fourier_sum(table, SpectralSet("rectangle", 2, half=True), dfs_coord(0.3, 1.1))
+        assert type(value) is complex and value.imag == 0.0
 
 
 class TestFold:
@@ -821,14 +941,6 @@ class TestFold:
 def io_dir(tmp_path_factory):
     """A directory that outlives the examples of a hypothesis test."""
     return tmp_path_factory.mktemp("dfsc")
-
-
-@st.composite
-def random_tables(draw):
-    """Random complex coefficient tables of even, possibly non-square, sizes."""
-    shape = (2 * draw(st.integers(1, 16)), 2 * draw(st.integers(1, 16)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return CoefficientTable(rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 def dfsc_bytes(table, directory):

@@ -246,9 +246,13 @@ class TestPresetsAndSerialization:
 
     @pytest.mark.parametrize("term", [
         3, ["f_nu"], {"weight": 1.0}, {"kind": "f_nu", "a": None}, {"kind": "f_nu", "rotation": {"x": 1}},
-    ], ids=["number", "list", "no-kind", "null-cut", "object-rotation"])
+        {"kind": "coordinate", "weight": "2"}, {"kind": "f_nu", "nu": "3"}, {"kind": "f_nu", "a": True},
+        {"kind": "f_nu", "rotation": [["1", 0, 0], [0, 1, 0], [0, 0, 1]]},
+    ], ids=["number", "list", "no-kind", "null-cut", "object-rotation",
+            "string-weight", "string-nu", "boolean-cut", "string-rotation-entry"])
     def test_rejects_malformed_term(self, term):
-        # each used to escape as an AttributeError, KeyError or TypeError
+        # the first five used to escape as an AttributeError, KeyError or TypeError; the strings were
+        # read as numbers, as float("2") succeeds, and the boolean cut as 1, rejected only by its range
         with pytest.raises(ValueError, match="term"):
             spec_from_dict(term)
 
