@@ -5,6 +5,9 @@ full torus by copying samples through the glide reflection. Because samples are
 copied rather than re-evaluated, the resulting grid satisfies the
 block-mirror-centrosymmetric (BMC) identity exactly in floating point, and the
 pole rows (theta = 0 and theta = -pi == pi) are exactly constant (BMC-1).
+Whether a torus grid is BMC is a fact of its values, which
+:attr:`TorusGrid.bmc` reads off the pairs of samples that the reflection
+matches; no caller states it.
 
 A grid's dtype follows its samples: real samples are stored as float64 and
 anything complex as complex128, so a real function stays real from sampling
@@ -49,13 +52,11 @@ class TorusGrid:
 
     ``values[j, k]`` is the sample at (lambda_k, theta_j) with
     lambda_k = -pi + 2 pi k / n_lambda and theta_j = -pi + 2 pi j / n_theta.
-    ``bmc`` asserts that the grid satisfies the glide-reflection identity
-    value(lambda, theta) = value(lambda + pi, -theta) exactly. ``values`` is
-    float64 when given real samples and complex128 otherwise.
+    ``values`` is float64 when given real samples and complex128 otherwise.
+    Whether the grid is BMC is computed from the values by :attr:`bmc`.
     """
 
     values: np.ndarray
-    bmc: bool = False
 
     def __post_init__(self):
         self.values = _sample_array(self.values)
@@ -83,11 +84,32 @@ class TorusGrid:
     def thetas(self):
         return _periodic_nodes(self.n_theta)
 
+    def _glide_pairs(self):
+        """The four pairs of views of ``values`` that the glide reflection (lambda, theta) -> (lambda + pi, -theta) matches.
+
+        Row j pairs with row -j, column k with column k + n_lambda / 2: first
+        the interior rows theta in (-pi, 0), in two column halves, each
+        against its image among the rows theta in (0, pi); then each pole
+        row, theta = -pi and theta = 0, one half against the other. Every
+        sample lies in a pair, and the grid is BMC exactly when each pair is
+        equal.
+        """
+        h, s, v = self.n_theta // 2, self.n_lambda // 2, self.values
+        return ((v[1:h, :s], v[:h:-1, s:]), (v[1:h, s:], v[:h:-1, :s]),
+                (v[0, :s], v[0, s:]), (v[h, :s], v[h, s:]))
+
+    @property
+    def bmc(self):
+        """Whether value(lambda, theta) = value(lambda + pi, -theta) holds exactly at every sample.
+
+        True exactly when :meth:`bmc_violation` is 0, so False as soon as one
+        sample differs from its glide image or is not finite.
+        """
+        return all(np.array_equal(a, b) and np.isfinite(a).all() for a, b in self._glide_pairs())
+
     def bmc_violation(self):
-        """Max absolute deviation from the glide-reflection identity, the reflection taken as an index permutation."""
-        rows = (-np.arange(self.n_theta)) % self.n_theta
-        glide_image = np.roll(self.values[rows], self.n_lambda // 2, axis=1)
-        return float(np.max(np.abs(self.values - glide_image)))
+        """Max absolute deviation of a sample from its glide image; NaN when a sample is NaN or an inf meets an inf."""
+        return float(np.max([np.max(np.abs(a - b), initial=0.0) for a, b in self._glide_pairs()]))
 
 
 @dataclass
@@ -166,29 +188,27 @@ def sample_sphere(f, n_lambda, n_theta_half):
 def dfs_double(g):
     """Double a lat-lon grid to a BMC-1 torus grid.
 
-    The theta in [0, pi) rows are copied verbatim; the theta in (-pi, 0) rows
-    are filled with the glide-reflected samples (column shift by pi requires an
-    even number of columns). The theta = -pi row is the south-pole row. The
-    glide reflection maps each pole row to itself turned by half a revolution,
-    so each is averaged with that turn: a row constant in lambda, as sampled
-    pole rows are, comes through bit for bit, and any other row, such as that
-    of a truncated series, still gives an exactly BMC grid. The torus grid
-    keeps the dtype of ``g``.
+    The theta in [0, pi) rows are copied verbatim and the theta = -pi row is
+    the south-pole row; the theta in (-pi, 0) rows are then filled from their
+    glide images (column shift by pi requires an even number of columns).
+    The glide reflection maps each pole row to itself turned by half a
+    revolution, so each half of it is set to the mean of the two halves: a
+    row constant in lambda, as sampled pole rows are, comes through bit for
+    bit, and any other row, such as that of a truncated series, still gives
+    an exactly BMC grid. The torus grid keeps the dtype of ``g``.
     """
     if g.n_lambda % 2:
         raise ValueError("dfs_double requires an even n_lambda so the half-turn is a column shift")
     nth = g.n_theta_half
-    shift = g.n_lambda // 2
-    out = np.empty((2 * nth, g.n_lambda), dtype=g.values.dtype)
-    out[nth:] = g.values[:-1]
-    out[0] = g.values[-1]
-    for pole in (out[0], out[nth]):
-        pole += np.roll(pole, shift)
-        pole *= 0.5
-    # rows theta_j, j = nth-1 .. 1, turned by half a revolution in lambda
-    out[1:nth, :shift] = g.values[nth - 1:0:-1, shift:]
-    out[1:nth, shift:] = g.values[nth - 1:0:-1, :shift]
-    return TorusGrid(out, bmc=True)
+    grid = TorusGrid(np.empty((2 * nth, g.n_lambda), dtype=g.values.dtype))
+    grid.values[nth:] = g.values[:-1]
+    grid.values[0] = g.values[-1]
+    pairs = grid._glide_pairs()
+    for image, source in pairs[:2]:
+        image[...] = source
+    for a, b in pairs[2:]:
+        a[...] = b[...] = 0.5 * (a + b)
+    return grid
 
 
 def _write_container(path, layout, fields, values):
@@ -233,13 +253,21 @@ def grid_io_write(grid, path):
 
     Layout: magic ``DFSG``, version u32 LE, n_lambda u64 LE, n_theta u64 LE,
     bmc flag u8, then row-major complex values as little-endian float64 pairs.
-    A real grid is widened to complex pairs, so it writes the same bytes as
-    the same grid cast to complex.
+    The flag is 1 when the grid is BMC (:attr:`TorusGrid.bmc`) and 0
+    otherwise. A real grid is widened to complex pairs, so it writes the same
+    bytes as the same grid cast to complex.
     """
-    _write_container(path, _GRID_LAYOUT, (grid.n_lambda, grid.n_theta, 1 if grid.bmc else 0), grid.values)
+    _write_container(path, _GRID_LAYOUT, (grid.n_lambda, grid.n_theta, int(grid.bmc)), grid.values)
 
 
 def grid_io_read(path):
-    """Read a torus grid written by :func:`grid_io_write`; the grid is complex128."""
+    """Read a torus grid written by :func:`grid_io_write`; the grid is complex128.
+
+    A bmc flag other than 0 or 1, or one that disagrees with the payload's
+    own :attr:`TorusGrid.bmc`, raises ValueError.
+    """
     (_, _, bmc_flag), values = _read_container(path, _GRID_LAYOUT, lambda n_lambda, n_theta, _: (n_theta, n_lambda))
-    return TorusGrid(values, bmc=bool(bmc_flag))
+    grid = TorusGrid(values)
+    if bmc_flag != grid.bmc:  # 0 == False and 1 == True; any other byte equals neither
+        raise ValueError(f"malformed grid file header: bmc flag {bmc_flag}, but the payload is {'' if grid.bmc else 'not '}BMC")
+    return grid

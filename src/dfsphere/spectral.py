@@ -62,7 +62,7 @@ def _centered(n):
 def _check_degrees(degrees):
     """``degrees`` as a list, which must be non-empty and ascending (repeats allowed), of integers >= 0."""
     degrees = list(degrees)
-    if not (degrees and all(isinstance(h, (int, np.integer)) and h >= 0 for h in degrees)
+    if not (degrees and all(isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h >= 0 for h in degrees)
             and degrees == sorted(degrees)):
         raise ValueError(f"degrees must be a non-empty ascending list of integers >= 0, got {degrees}")
     return degrees
@@ -75,11 +75,11 @@ class CoefficientTable:
     ``values[j, k]`` is c_(n1, n2) with n2 = j - N2//2 and n1 = k - N1//2, so
     the index ranges are n1 in [-N1/2, N1/2) and n2 in [-N2/2, N2/2).
 
-    A table that :func:`compute_coefficients` made from a real (float64) grid
-    whose ``bmc`` flag is set carries a private mark, so that the partial sums
-    take only its n1 >= 0 columns (see :func:`_truncated_block`). The mark is
-    no constructor argument: a table built by hand, read from a file or
-    unfolded never carries it, and its sums use every column.
+    A table that :func:`compute_coefficients` made from a real BMC grid
+    carries a private mark, so that the partial sums take only its n1 >= 0
+    columns (see :func:`_truncated_block`). The mark is no constructor
+    argument: a table built by hand, read from a file or unfolded never
+    carries it, and its sums use every column.
     """
 
     values: np.ndarray
@@ -225,27 +225,25 @@ def _real_coefficients(x):
 def compute_coefficients(grid):
     """Fourier coefficients of a torus grid under the integral convention.
 
-    A full 2-d transform of the grid by real-input FFTs. A real (float64) grid
-    is transformed as it is, with no imaginary part to scan; a complex grid is
-    transformed as its real part plus, when its imaginary part is nonzero, i
-    times that of its imaginary part, so a real grid and its complex cast give
-    the same bits. The table is not symmetrized, so a BMC violation of the
-    grid shows in it.
+    A full 2-d transform of the grid by real-input FFTs: the transform of its
+    real part plus, when its imaginary part is nonzero, i times that of its
+    imaginary part. A grid is real when it has no nonzero imaginary part,
+    whatever its dtype, so a real grid and its complex cast give the same
+    table, mark included. The table is not symmetrized, so a BMC violation of
+    the grid shows in it.
 
-    The table of a real grid whose ``bmc`` flag is set is marked as such: its
-    coefficients satisfy c_{-n} = conj(c_n) and c_n = (-1)^{n1} c_{M(n)}, so
-    every partial sum of it is real and the sums read only the n1 >= 0
-    columns. The values are the same as without the mark.
+    The table of a real grid that is BMC (:attr:`TorusGrid.bmc`, read from
+    the values) is marked as such: its coefficients satisfy c_{-n} =
+    conj(c_n) and c_n = (-1)^{n1} c_{M(n)}, so every partial sum of it is
+    real and the sums read only the n1 >= 0 columns. The values are the same
+    as without the mark.
     """
-    values = grid.values
-    if np.isrealobj(values):
-        table = CoefficientTable(_real_coefficients(values))
-        table._real_bmc = grid.bmc
-        return table
-    table = _real_coefficients(values.real)
-    if np.any(values.imag):
-        table += 1j * _real_coefficients(values.imag)
-    return CoefficientTable(table)
+    real = np.isrealobj(grid.values) or not np.any(grid.values.imag)
+    table = CoefficientTable(_real_coefficients(grid.values.real))
+    if not real:
+        table.values += 1j * _real_coefficients(grid.values.imag)
+    table._real_bmc = real and grid.bmc
+    return table
 
 
 def _truncated_block(table, omega):
@@ -503,7 +501,7 @@ def dfs_fourier_sum(table, omega, points):
     phases of the points. A table of a real BMC grid sums its n1 >= 0
     columns, with imaginary part 0.
     """
-    if not omega.half:
+    if omega is None or not omega.half:
         raise ValueError("dfs_fourier_sum expects a half-domain spectral set")
     return _separable_sum(*_truncated_block(table, omega), *_unit_phases(points))
 

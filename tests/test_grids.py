@@ -171,6 +171,70 @@ class TestDouble:
         with pytest.raises(ValueError, match="even"):
             dfs_double(bad)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_the_slice_and_roll_construction(self, half_lambda, nth, is_complex, seed):
+        # pole rows are not constant here, so the averaging of each with its half-turn is exercised
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(nth + 1, 2 * half_lambda))
+        if is_complex:
+            values = values + 1j * rng.normal(size=values.shape)
+        g = LatLonGrid(values)
+        shift = g.n_lambda // 2
+        out = np.empty((2 * nth, g.n_lambda), dtype=g.values.dtype)
+        out[nth:] = g.values[:-1]
+        out[0] = g.values[-1]
+        for pole in (out[0], out[nth]):
+            pole += np.roll(pole, shift)
+            pole *= 0.5
+        out[1:nth, :shift] = g.values[nth - 1:0:-1, shift:]
+        out[1:nth, shift:] = g.values[nth - 1:0:-1, :shift]
+        tg = dfs_double(g)
+        assert tg.values.dtype == out.dtype
+        assert np.array_equal(tg.values, out)
+        assert tg.bmc
+
+
+def roll_violation(values):
+    """The glide residual over the whole grid: each sample against its row -j image rolled by half a turn."""
+    n_theta, n_lambda = values.shape
+    glide_image = np.roll(values[(-np.arange(n_theta)) % n_theta], n_lambda // 2, axis=1)
+    return float(np.max(np.abs(values - glide_image)))
+
+
+@st.composite
+def bmc_probe_grids(draw):
+    """Random torus grids of even sizes, n_theta = 2 included: doubled or not, real or complex, with at most one
+    sample moved by one ulp or set to NaN, or one sample and its glide image both set to inf."""
+    n_theta, n_lambda = 2 * draw(st.integers(1, 12)), 2 * draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n_theta // 2 + 1, n_lambda))
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=values.shape)
+    if draw(st.booleans()):
+        values = dfs_double(LatLonGrid(values)).values
+    else:
+        values = np.resize(values, (n_theta, n_lambda))
+    j, k = draw(st.integers(0, n_theta - 1)), draw(st.integers(0, n_lambda - 1))
+    change = draw(st.sampled_from(["none", "ulp", "nan", "inf"]))
+    if change == "ulp":
+        values.real[j, k] = np.nextafter(values.real[j, k], np.inf)
+    elif change == "nan":
+        values[j, k] = np.nan
+    elif change == "inf":
+        values[j, k] = values[-j, (k + n_lambda // 2) % n_lambda] = np.inf
+    return TorusGrid(values)
+
+
+class TestGlideSymmetry:
+    @settings(max_examples=60, deadline=None)
+    @given(bmc_probe_grids())
+    def test_bmc_is_a_zero_violation(self, grid):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            violation, oracle = grid.bmc_violation(), roll_violation(grid.values)
+        assert grid.bmc == (violation == 0.0)
+        assert np.array_equal(violation, oracle, equal_nan=True)
+
 
 class TestGridDtype:
     @pytest.mark.parametrize("grid_type", [TorusGrid, LatLonGrid])
@@ -211,14 +275,17 @@ def torus_grids(draw):
     values = rng.normal(size=shape)
     if draw(st.booleans()):
         values = values + 1j * rng.normal(size=shape)
-    return TorusGrid(values, bmc=draw(st.booleans()))
+    if draw(st.booleans()):
+        # a doubled grid, so that both values of the header's bmc flag are drawn
+        return dfs_double(LatLonGrid(values[: shape[0] // 2 + 1]))
+    return TorusGrid(values)
 
 
 class TestGridIO:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(21)
         vals = rng.normal(size=(16, 32)) + 1j * rng.normal(size=(16, 32))
-        grid = TorusGrid(vals, bmc=False)
+        grid = TorusGrid(vals)
         path = tmp_path / "g.dfsg"
         grid_io_write(grid, path)
         back = grid_io_read(path)
@@ -279,9 +346,9 @@ class TestGridIO:
     @settings(max_examples=25, deadline=None)
     @given(torus_grids())
     def test_real_grid_writes_the_bytes_of_its_complex_cast(self, io_dir, grid):
-        real = TorusGrid(grid.values.real, bmc=grid.bmc)
+        real = TorusGrid(grid.values.real)
         assert real.values.dtype == np.float64
-        as_complex = TorusGrid(real.values.astype(complex), bmc=grid.bmc)
+        as_complex = TorusGrid(real.values.astype(complex))
         assert dfsg_bytes(real, io_dir) == dfsg_bytes(as_complex, io_dir)
 
     @settings(max_examples=25, deadline=None)
@@ -296,7 +363,7 @@ class TestGridIO:
                 grid_io_read(path)
 
     @settings(max_examples=25, deadline=None)
-    @given(torus_grids(), st.sampled_from([(0, "4s"), (4, "<I"), (8, "<Q"), (16, "<Q")]), st.data())
+    @given(torus_grids(), st.sampled_from([(0, "4s"), (4, "<I"), (8, "<Q"), (16, "<Q"), (24, "<B")]), st.data())
     def test_mutated_magic_version_or_dimension_is_rejected(self, io_dir, grid, field, data):
         import struct
 
@@ -308,6 +375,17 @@ class TestGridIO:
         path = io_dir / "bad.dfsg"
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
+            grid_io_read(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(torus_grids())
+    def test_bmc_flag_that_disagrees_with_the_payload_is_rejected(self, io_dir, grid):
+        raw = bytearray(dfsg_bytes(grid, io_dir))
+        assert raw[24] == grid.bmc
+        raw[24] ^= 1
+        path = io_dir / "bad.dfsg"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="malformed grid file header"):
             grid_io_read(path)
 
     def test_large_round_trip_under_a_second(self, tmp_path):

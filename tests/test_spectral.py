@@ -108,6 +108,18 @@ def doubled_tables(draw):
 
 
 @st.composite
+def real_grid_tables(draw):
+    """Coefficient tables of real torus grids that are not BMC: random, or doubled and then one sample changed in place."""
+    n_theta, n_lambda = 2 * draw(st.integers(1, 16)), 2 * draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return compute_coefficients(TorusGrid(rng.normal(size=(n_theta, n_lambda))))
+    grid = dfs_double(LatLonGrid(rng.normal(size=(n_theta // 2 + 1, n_lambda))))
+    grid.values[draw(st.integers(0, n_theta - 1)), draw(st.integers(0, n_lambda - 1))] = rng.normal()
+    return compute_coefficients(grid)
+
+
+@st.composite
 def random_tables(draw):
     """Random complex coefficient tables of even, possibly non-square, sizes."""
     shape = (2 * draw(st.integers(1, 16)), 2 * draw(st.integers(1, 16)))
@@ -164,7 +176,7 @@ class TestSpectralSet:
         inside = bool(SpectralSet("ball", h, "l2").contains(n1, n2))
         assert inside == (n1 * n1 + n2 * n2 <= h * h)
 
-    @pytest.mark.parametrize("degree", [2.5, -1])
+    @pytest.mark.parametrize("degree", [2.5, -1, True])
     def test_rejects_fractional_or_negative_degree(self, degree):
         # a fractional degree used to pass here and fail later in dfs_fourier_sum with an IndexError
         with pytest.raises(ValueError, match="integers >= 0"):
@@ -661,6 +673,8 @@ class TestDfsFourierSum:
         table = cos_theta_table(16)
         with pytest.raises(ValueError, match="half-domain"):
             dfs_fourier_sum(table, SpectralSet("rectangle", 1), np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="half-domain"):
+            dfs_fourier_sum(table, None, np.array([0.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("evaluate", [
@@ -810,12 +824,16 @@ class TestRealHalfPath:
     """Tables of real BMC grids sum their n1 >= 0 columns; every other table sums them all."""
 
     def test_only_real_bmc_grids_mark_their_table(self, tmp_path):
+        # the mark follows the grid's values: its dtype and how it was made do not matter
         lat = sample_sphere(combo(), 16, 8)
         doubled = dfs_double(lat)
-        assert compute_coefficients(doubled)._real_bmc
+        for grid in (doubled, TorusGrid(doubled.values), TorusGrid(doubled.values.astype(complex))):
+            assert compute_coefficients(grid)._real_bmc
+        nudged = doubled.values.copy()
+        nudged[3, 5] = np.nextafter(nudged[3, 5], np.inf)
         unmarked = [
-            compute_coefficients(TorusGrid(doubled.values)),  # bmc flag not set
-            compute_coefficients(TorusGrid(doubled.values.astype(complex), bmc=True)),
+            compute_coefficients(TorusGrid(np.random.default_rng(62).normal(size=(16, 16)))),
+            compute_coefficients(TorusGrid(nudged)),
             compute_coefficients(dfs_double(LatLonGrid(lat.values + 1j))),
             unfold_coefficients(fold_coefficients(compute_coefficients(doubled))),
             CoefficientTable(compute_coefficients(doubled).values),
@@ -843,9 +861,11 @@ class TestRealHalfPath:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(full_block(plain, summed)[1]))
 
     @settings(max_examples=30, deadline=None)
-    @given(sums_of(st.one_of(doubled_tables().filter(lambda t: not t._real_bmc), random_tables())), st.booleans())
+    @given(sums_of(st.one_of(doubled_tables().filter(lambda t: not t._real_bmc), real_grid_tables(), random_tables())),
+           st.booleans())
     def test_unmarked_sums_are_the_full_block_bit_for_bit(self, io_dir, case, via_file):
-        # complex-grid and hand-built tables, or either read back from a DFSC file
+        # tables of complex grids, of real grids that are not BMC and built by
+        # hand, or any of them read back from a DFSC file
         table, omega, points, n_theta, n_lambda = case
         if via_file:
             coeff_io_write(table, io_dir / "c.dfsc")
@@ -858,6 +878,35 @@ class TestRealHalfPath:
                               full_grid_sum(table, omega, n_theta, n_lambda, slice(None)))
         if omega.half:
             assert np.array_equal(dfs_fourier_sum(table, omega, points), full_point_sum(table, omega, *_unit_phases(points)))
+
+    def test_grid_changed_after_doubling_sums_every_column(self):
+        # once one sample moves, the grid is no longer BMC and its sums keep their imaginary part
+        grid = dfs_double(LatLonGrid(np.random.default_rng(63).normal(size=(9, 16))))
+        grid.values[3, 5] += 1.0
+        table = compute_coefficients(grid)
+        omega = SpectralSet("rectangle", 5, half=True)
+        points = np.random.default_rng(64).normal(size=(20, 3))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        got = dfs_fourier_sum(table, omega, points)
+        assert np.array_equal(got, full_point_sum(table, omega, *_unit_phases(points)))
+        assert np.any(got.imag != 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32 - 1), st.data())
+    def test_real_grid_and_its_complex_cast_sum_the_same_bits(self, half_lambda, nth, seed, data):
+        grid = dfs_double(LatLonGrid(np.random.default_rng(seed).normal(size=(nth + 1, 2 * half_lambda))))
+        real, cast = (compute_coefficients(g) for g in (grid, TorusGrid(grid.values.astype(complex))))
+        _, omega, points, n_theta, n_lambda = data.draw(sums_of(st.just(real)))
+        full = omega.symmetrized()
+        lam, theta = dfs_coord_inverse(points)
+        sums = [
+            lambda t: partial_sum_torus(t, full, lam, theta),
+            lambda t: _grid_sum(t, omega, n_theta, n_lambda, slice(None)),
+        ]
+        if omega.half:
+            sums.append(lambda t: dfs_fourier_sum(t, omega, points))
+        for total in sums:
+            assert np.array_equal(total(real), total(cast))
 
     def test_marked_scalar_is_a_complex_with_zero_imaginary_part(self):
         table = cos_theta_table(16)
@@ -898,7 +947,7 @@ class TestFold:
     def test_rejects_asymmetric_table(self):
         rng = np.random.default_rng(61)
         vals = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        grid = TorusGrid(vals, bmc=False)
+        grid = TorusGrid(vals)
         table = compute_coefficients(grid)
         with pytest.raises(ValueError, match="not block-mirror-centrosymmetric"):
             fold_coefficients(table)
