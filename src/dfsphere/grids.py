@@ -159,30 +159,28 @@ def sample_sphere(f, n_lambda, n_theta_half):
     n_theta_half : int
         Number of colatitude panels on [0, pi]; the grid has n_theta_half + 1 rows.
 
-    The pole rows are evaluated once each and broadcast, so they are exactly
-    constant regardless of the behaviour of ``f`` near the poles. The grid is
-    float64 when the interior and both poles come back real, complex128
-    otherwise. A non-finite sample raises ValueError.
+    ``f`` is called once, on the (n_theta_half + 1, n_lambda, 3) array of
+    every node. The pole rows' points are exactly (0, 0, +-1), and each pole
+    row is then set to its first sample, so it is exactly constant whatever
+    ``f`` does there. The grid may take over the array ``f`` returns and
+    overwrite its pole rows, so ``f`` must return one that nothing else
+    holds. The grid is float64 when ``f`` returns real values and complex128
+    otherwise. A non-finite sample, or values of another shape than the
+    nodes, raises ValueError.
     """
     if n_lambda < 2 or n_lambda % 2:
         raise ValueError(f"n_lambda must be even and >= 2, got {n_lambda}")
     if n_theta_half < 1:
         raise ValueError(f"n_theta_half must be >= 1, got {n_theta_half}")
-    lam = _periodic_nodes(n_lambda)
-    theta = np.pi * np.arange(1, n_theta_half) / n_theta_half
-    interior = np.empty((0, n_lambda))
-    if n_theta_half > 1:
-        interior = f(dfs_coord(lam[None, :], theta[:, None]))
-    north = np.asarray(f(np.array([0.0, 0.0, 1.0]))).item()
-    south = np.asarray(f(np.array([0.0, 0.0, -1.0]))).item()
-    real = np.isrealobj(interior) and np.isrealobj(north) and np.isrealobj(south)
-    vals = np.empty((n_theta_half + 1, n_lambda), dtype=float if real else complex)
-    vals[1:-1] = interior
-    vals[0, :] = north
-    vals[-1, :] = south
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("sampled function returned non-finite values")
-    return LatLonGrid(vals)
+    theta = np.pi * np.arange(n_theta_half + 1) / n_theta_half
+    points = dfs_coord(_periodic_nodes(n_lambda)[None, :], theta[:, None])
+    points[0], points[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)  # sin(pi) is not 0 in floating point
+    vals = np.asarray(f(points))
+    if vals.shape != points.shape[:-1] or not np.all(np.isfinite(vals)):
+        raise ValueError(f"sampled function returned non-finite values or a shape other than {points.shape[:-1]}")
+    grid = LatLonGrid(vals)
+    grid.values[0], grid.values[-1] = grid.values[0, 0], grid.values[-1, 0]
+    return grid
 
 
 def dfs_double(g):
@@ -190,15 +188,13 @@ def dfs_double(g):
 
     The theta in [0, pi) rows are copied verbatim and the theta = -pi row is
     the south-pole row; the theta in (-pi, 0) rows are then filled from their
-    glide images (column shift by pi requires an even number of columns).
+    glide images (column shift by pi: :class:`TorusGrid` rejects an odd n_lambda).
     The glide reflection maps each pole row to itself turned by half a
     revolution, so each half of it is set to the mean of the two halves: a
     row constant in lambda, as sampled pole rows are, comes through bit for
     bit, and any other row, such as that of a truncated series, still gives
     an exactly BMC grid. The torus grid keeps the dtype of ``g``.
     """
-    if g.n_lambda % 2:
-        raise ValueError("dfs_double requires an even n_lambda so the half-turn is a column shift")
     nth = g.n_theta_half
     grid = TorusGrid(np.empty((2 * nth, g.n_lambda), dtype=g.values.dtype))
     grid.values[nth:] = g.values[:-1]

@@ -125,10 +125,8 @@ class CoefficientTable:
 
     def conjugate_symmetry_violation(self):
         """Max |c_{-n} - conj(c_n)| relative to the largest coefficient."""
-        N2, N1 = self.values.shape
-        rows = (-(self.n2_values) + N2 // 2) % N2
-        cols = (-(self.n1_values) + N1 // 2) % N1
-        reflected = self.values[np.ix_(rows, cols)]
+        # row j holds n2 = j - N2/2 and -n2 sits at row -j mod N2; likewise for columns
+        reflected = np.roll(self.values[::-1, ::-1], 1, axis=(0, 1))
         resid = np.abs(reflected - np.conj(self.values))
         scale = np.max(np.abs(self.values))
         return 0.0 if scale == 0 else float(np.max(resid) / scale)
@@ -185,9 +183,8 @@ class SpectralSet:
 
     def members(self):
         """All member indices as (n1, n2) integer arrays."""
-        h = self.degree
-        lo2 = 0 if self.half else -h
-        n1, n2 = np.meshgrid(np.arange(-h, h + 1), np.arange(lo2, h + 1), indexing="ij")
+        n = np.arange(-self.degree, self.degree + 1)
+        n1, n2 = np.meshgrid(n, n, indexing="ij")
         keep = self.contains(n1, n2)
         return n1[keep], n2[keep]
 
@@ -236,13 +233,17 @@ def compute_coefficients(grid):
     the values) is marked as such: its coefficients satisfy c_{-n} =
     conj(c_n) and c_n = (-1)^{n1} c_{M(n)}, so every partial sum of it is
     real and the sums read only the n1 >= 0 columns. The values are the same
-    as without the mark.
+    as without the mark. A grid holding a non-finite sample raises
+    ValueError.
     """
+    bmc = grid.bmc  # True only for a finite grid, so the scan below runs on grids that are not BMC
+    if not (bmc or np.all(np.isfinite(grid.values))):
+        raise ValueError("torus grid holds non-finite samples")
     real = np.isrealobj(grid.values) or not np.any(grid.values.imag)
     table = CoefficientTable(_real_coefficients(grid.values.real))
     if not real:
         table.values += 1j * _real_coefficients(grid.values.imag)
-    table._real_bmc = real and grid.bmc
+    table._real_bmc = real and bmc
     return table
 
 
@@ -257,9 +258,10 @@ def _truncated_block(table, omega):
 
     For a table marked by :func:`compute_coefficients` as that of a real BMC
     grid, ``real`` is True and the block holds only the columns n1 = 0 ..
-    degree, those with n1 > 0 doubled: the sum over omega is real, and it is
-    the real part of the sum over these columns. Otherwise ``real`` is False
-    and the block holds every column.
+    degree, with the table's own entries: the sum over omega is real, and
+    the columns n1 < 0 are the conjugates of these, so each summing kernel
+    adds them back in its own way (:func:`_separable_sum`, :func:`_grid_sum`).
+    Otherwise ``real`` is False and the block holds every column.
     """
     if omega is None:
         return table.n1_values, table.n2_values, table.values.copy(), False
@@ -276,8 +278,6 @@ def _truncated_block(table, omega):
     block[~omega.contains(*np.meshgrid(n1, n))] = 0.0
     if omega.half:
         block[: omega.degree] = _alternating(n1) * block[: omega.degree : -1]
-    if real:
-        block[:, 1:] *= 2.0
     return n1, n, block, real
 
 
@@ -320,13 +320,16 @@ def _separable_sum(n1, n2, block, real, w_lam, w_theta):
 
     Each term factors as exp(i n1 lam) exp(i n2 theta), so the sum is
     sum_k (block.T @ E_theta)[k, p] E_lam[k, p] over two (k, p) tables of
-    :func:`_phases`. With ``real`` set only its real part is kept, as a
-    complex value with imaginary part 0 (see :func:`_truncated_block`).
+    :func:`_phases`. With ``real`` set (see :func:`_truncated_block`) the
+    n1 > 0 columns are weighted by 2 and only the real part is kept, as a
+    complex value with imaginary part 0.
     Points go in slices of at most 2^21 table entries, below about 70 MiB.
     """
     shape = np.broadcast(w_lam, w_theta).shape
     w_lam, w_theta = (np.broadcast_to(w, shape).ravel() for w in (w_lam, w_theta))
     out = np.empty(w_lam.size, dtype=complex)
+    if real:  # Re(.) of each n1 > 0 column stands for it and its conjugate column -n1
+        block = np.where(n1 > 0, 2.0, 1.0) * block
     step = max(1, 2**21 // (len(n1) + len(n2)))
     for s in range(0, out.size, step):
         e_theta = block.T @ _phases(w_theta[s : s + step], n2)
@@ -356,9 +359,9 @@ def _grid_sum(table, omega, n_theta, n_lambda, rows):
     theta; the requested rows are then placed in the lambda spectrum and
     transformed along lambda, so neither the padded 2-d spectrum nor the rows
     left out are ever formed. A half-domain set gives the folded series. A
-    block of n1 >= 0 columns is halved back and transformed by ``irfft``,
-    which adds the conjugate columns itself; the result stays complex, with
-    imaginary part 0. Returns shape (len(rows), n_lambda).
+    block of n1 >= 0 columns is transformed by ``irfft``, which adds the
+    conjugate columns n1 < 0 itself; the result stays complex, with imaginary
+    part 0. Returns shape (len(rows), n_lambda).
     """
     n1, n2, block, real = _truncated_block(table, omega)
     width = 2 * len(n1) - 1 if real else len(n1)
@@ -366,10 +369,7 @@ def _grid_sum(table, omega, n_theta, n_lambda, rows):
         raise ValueError(
             f"target grid {n_theta} x {n_lambda} cannot hold the {len(n2)} x {width} coefficient block"
         )
-    sign1 = _alternating(n1)
-    if real:
-        sign1[1:] *= 0.5  # exact, as the doubling was
-    block *= _alternating(n2)[:, None] * sign1[None, :]
+    block *= _alternating(n2)[:, None] * _alternating(n1)[None, :]
     columns = np.zeros((n_theta, len(n1)), dtype=complex)
     columns[n2 % n_theta] = block
     # norm="forward" leaves the inverse transforms unscaled, as the sum is

@@ -6,7 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from numpy.polynomial.polynomial import polyval3d
 from scipy.integrate import quad
 from scipy.special import zeta
 
@@ -134,6 +137,22 @@ class TestErrorTable:
         rows = error_table(f, [4, 8], eval_size=(128, 64), oversample=8)
         for row in rows:
             assert row.max_error <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 8), st.data(), st.integers(0, 2**32 - 1))
+    def test_random_polynomial_reproduced_at_its_degree(self, d, data, seed):
+        # C04's claim over random sizes: a real polynomial of degree d in x, y, z
+        # comes back from the folded truncation at degree d on a grid of more
+        # than 2d points per side
+        grid = 2 * data.draw(st.integers(d + 1, d + 8))
+        n_lambda = 2 * data.draw(st.integers(d + 1, d + 8))
+        nth = data.draw(st.integers(d + 1, d + 8))
+        powers = np.arange(d + 1)
+        c = np.random.default_rng(seed).normal(size=(d + 1,) * 3)
+        c[np.add.outer(np.add.outer(powers, powers), powers) > d] = 0.0
+        (t,) = truncations(lambda p: polyval3d(p[..., 0], p[..., 1], p[..., 2], c), [d],
+                           grid_size=grid, eval_size=(n_lambda, nth))
+        assert t.max_error <= 1e-12 * np.max(np.abs(t.reference.values))
 
     def test_errors_strictly_decrease(self):
         rows = error_table(combo(), [16, 32, 64], eval_size=(256, 128), oversample=4)

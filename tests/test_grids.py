@@ -70,6 +70,26 @@ class TestSampleSphere:
         g = sample_sphere(f, 32, 16)
         assert g.pole_row_spread() == 0.0
 
+    def test_one_call_with_the_poles_exact(self):
+        calls = []
+
+        def f(points):
+            calls.append(points.copy())
+            return points[..., 2]
+
+        g = sample_sphere(f, 8, 4)
+        assert len(calls) == 1 and calls[0].shape == (5, 8, 3)
+        assert np.array_equal(calls[0][0], np.broadcast_to([0.0, 0.0, 1.0], (8, 3)))
+        assert np.array_equal(calls[0][-1], np.broadcast_to([0.0, 0.0, -1.0], (8, 3)))
+        assert np.array_equal(calls[0][1:-1], dfs_coord(g.lambdas[None, :], g.thetas[1:-1, None]))
+
+    def test_pole_rows_constant_when_f_varies_along_them(self):
+        # f sees the same point across each pole row but answers differently
+        g = sample_sphere(lambda p: np.arange(p[..., 0].size, dtype=float).reshape(p.shape[:-1]), 8, 4)
+        assert np.array_equal(g.values[0], np.full(8, 0.0))
+        assert np.array_equal(g.values[-1], np.full(8, 32.0))
+        assert np.array_equal(g.values[1:-1], np.arange(8.0, 32.0).reshape(3, 8))
+
     def test_rejects_odd_columns(self):
         with pytest.raises(ValueError, match="even"):
             sample_sphere(coord_z, 7, 4)
@@ -84,6 +104,12 @@ class TestSampleSphere:
         with pytest.raises(ValueError, match="non-finite"):
             sample_sphere(f, 16, 8)
 
+    @pytest.mark.parametrize("f", [lambda p: 1.0, lambda p: p[..., 2].T, lambda p: p[0, :, 2]],
+                             ids=["scalar", "transposed", "one-row"])
+    def test_rejects_values_not_shaped_like_the_nodes(self, f):
+        with pytest.raises(ValueError, match=r"shape other than \(5, 8\)"):
+            sample_sphere(f, 8, 4)
+
     def test_complex_function_gives_complex128(self):
         g = sample_sphere(lambda p: np.exp(1j * np.asarray(p)[..., 0]), 16, 8)
         assert g.values.dtype == np.complex128
@@ -93,7 +119,7 @@ class TestSampleSphere:
     def test_complex_only_at_a_pole_gives_complex128(self, pole):
         def f(points):
             z = np.asarray(points)[..., 2]
-            return z + 1j if z.ndim == 0 and z == pole else z
+            return np.where(z == pole, z + 1j, z)
 
         g = sample_sphere(f, 8, 4)
         assert g.values.dtype == np.complex128

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval3d
 from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
@@ -130,6 +131,25 @@ class TestAnalyze:
         vals = co.values.copy()
         vals[3, 2 + co.degree] = 0.0
         assert np.max(np.abs(vals)) < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 8), st.data(), st.integers(0, 2**32 - 1))
+    def test_random_polynomial_reproduced_at_random_sizes(self, h, data, seed):
+        # the docstring's claim: a polynomial of degree <= h in x, y, z comes
+        # back from sh_analyze at h on grids of at least 2h + 2 points per side
+        d = data.draw(st.integers(0, h))
+        n_lambda = 2 * data.draw(st.integers(h + 1, h + 8))
+        nth = data.draw(st.integers(2 * h + 2, 2 * h + 16))
+        rng = np.random.default_rng(seed)
+        powers = np.arange(d + 1)
+        c = rng.normal(size=(d + 1,) * 3)
+        c[np.add.outer(np.add.outer(powers, powers), powers) > d] = 0.0
+        f = lambda p: polyval3d(p[..., 0], p[..., 1], p[..., 2], c)
+        grid = sample_sphere(f, n_lambda, nth)
+        lam, theta = rng.uniform(-np.pi, np.pi, size=20), rng.uniform(0.0, np.pi, size=15)
+        got = sh_synthesize(sh_analyze(grid, h), lam, theta, [h])[0]
+        want = f(dfs_coord(lam[None, :], theta[:, None]))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(grid.values))
 
     def test_constant(self):
         one = lambda p: np.ones(np.asarray(p).shape[:-1])

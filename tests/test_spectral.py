@@ -87,6 +87,16 @@ def table_violation_matches(values):
     return np.array_equal(CoefficientTable(values).symmetry_violation(), full_table_violation(values), equal_nan=True)
 
 
+def index_conjugate_violation(table):
+    """Reference conjugate-symmetry figure: n -> -n by modular index vectors into the whole table."""
+    N2, N1 = table.values.shape
+    rows = (-(table.n2_values) + N2 // 2) % N2
+    cols = (-(table.n1_values) + N1 // 2) % N1
+    resid = np.abs(table.values[np.ix_(rows, cols)] - np.conj(table.values))
+    scale = np.max(np.abs(table.values))
+    return 0.0 if scale == 0 else float(np.max(resid) / scale)
+
+
 def full_table_fold(values):
     """Reference fold: symmetrize the full table, then keep rows n2 = 0 .. N2/2."""
     N2 = values.shape[0]
@@ -200,6 +210,22 @@ class TestCoefficientTable:
         with pytest.raises(ValueError, match="outside the table"):
             cos_theta_table(16).coeff(n1, n2)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 32), st.integers(1, 32), st.sampled_from(["random", "real grid", "zero"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_conjugate_violation_matches_the_index_formula(self, half2, half1, kind, with_nan, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2 * half2, 2 * half1)
+        if kind == "random":
+            table = CoefficientTable(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        elif kind == "real grid":
+            table = compute_coefficients(TorusGrid(rng.normal(size=shape)))
+        else:
+            table = CoefficientTable(np.zeros(shape))
+        if with_nan:
+            table.values[rng.integers(shape[0]), rng.integers(shape[1])] = np.nan
+        assert np.array_equal(table.conjugate_symmetry_violation(), index_conjugate_violation(table), equal_nan=True)
+
 
 class TestComputeCoefficients:
     def test_constant(self):
@@ -260,6 +286,20 @@ class TestComputeCoefficients:
         assert real.values.dtype == np.float64
         cast = compute_coefficients(TorusGrid(values.astype(complex)))
         assert np.array_equal(compute_coefficients(real).values, cast.values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), "glide pair of infs"])
+    def test_rejects_non_finite_samples(self, bad):
+        if bad == "glide pair of infs":
+            # a doubled grid copies the inf to its glide image, so the pair is equal but not finite
+            values = np.ones((5, 8))
+            values[2, 3] = np.inf
+            grid = dfs_double(LatLonGrid(values))
+        else:
+            values = np.ones((8, 8), dtype=type(bad))
+            values[3, 5] = bad
+            grid = TorusGrid(values)
+        with pytest.raises(ValueError, match="non-finite"):
+            compute_coefficients(grid)
 
     def test_bmc_asymmetry_of_the_transform_is_not_erased(self):
         # the table is a plain transform of the doubled grid, so its BMC
@@ -878,6 +918,18 @@ class TestRealHalfPath:
                               full_grid_sum(table, omega, n_theta, n_lambda, slice(None)))
         if omega.half:
             assert np.array_equal(dfs_fourier_sum(table, omega, points), full_point_sum(table, omega, *_unit_phases(points)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(sums_of(doubled_tables().filter(lambda t: t._real_bmc)))
+    def test_marked_blocks_hold_the_table_entries(self, case):
+        # the columns n1 >= 0 of the full block, unweighted: each kernel weights them itself
+        table, omega, _, _, _ = case
+        for half in (False, True):
+            summed = SpectralSet(omega.shape, omega.degree, omega.norm, half=half)
+            n1, n2, block, real = _truncated_block(table, summed)
+            n, full = full_block(table, summed)
+            assert real and np.array_equal(n1, n[omega.degree:]) and np.array_equal(n2, n)
+            assert np.array_equal(block, full[:, omega.degree:])
 
     def test_grid_changed_after_doubling_sums_every_column(self):
         # once one sample moves, the grid is no longer BMC and its sums keep their imaginary part
