@@ -7,7 +7,7 @@ dominated at every stage by the sum of the excluded coefficient magnitudes.
 """
 
 from dfsphere import preset, spherical_function, standard_combination
-from dfsphere.analysis import error_table, fit_rate, uniform_convergence_check
+from dfsphere.analysis import error_table, fit_rate, truncations
 
 f = spherical_function(standard_combination())
 degrees = [8, 16, 32, 64, 128]
@@ -24,8 +24,9 @@ rows1 = error_table(f1, degrees[1:], eval_size=(512, 256), oversample=4)
 print(f"\nsingle cap with one smooth derivative: slope {fit_rate(rows1):.2f}  (guarantee: <= -1)")
 
 print("\nsup error vs coefficient tail bound:")
-for s in uniform_convergence_check(f, [8, 16, 32, 64], eval_size=(512, 256), grid_size=1024):
+for t in truncations(f, [8, 16, 32, 64], eval_size=(512, 256), grid_size=1024):
+    tail = t.tail_sum
     print(
-        f"  h={s.degree:>3}: measured {s.measured_error:.3e} <= tail {s.tail_sum:.3e}"
-        f"  ({'ok' if s.dominated() else 'VIOLATED'})"
+        f"  h={t.omega.degree:>3}: measured {t.max_error:.3e} <= tail {tail:.3e}"
+        f"  ({'ok' if t.max_error <= tail + 1e-8 else 'VIOLATED'})"
     )

@@ -17,7 +17,7 @@ for h in (10, 100, 1000, 10_000):
 print(f"  analytic limit: {res.limit:.8f}")
 
 f = spherical_function(standard_combination())
-table = coefficient_table_for(f, 128, grid_size=1024)
+table = coefficient_table_for(f, 1024)
 rep = decay_report(table, k=3, alpha=0.9, r_min=8, r_max=128)
 
 print(f"\nshell maxima of |c_n| for the three-cap function, radii 8..128:")

@@ -31,8 +31,6 @@ __all__ = [
     "hoelder_quotient_check",
     "SobolevReport",
     "sobolev_probe",
-    "ConvergenceStage",
-    "uniform_convergence_check",
 ]
 
 #: relative gap accepted between the 20- and 40-point values of each panel of :func:`sobolev_probe`
@@ -93,17 +91,24 @@ class ErrorTableRow:
     sh_max_error: float | None = None
 
 
-def coefficient_table_for(f, max_degree, oversample=4, grid_size=None):
-    """Coefficient table of the doubled grid, oversampled past a degree bound."""
-    if grid_size is None:
-        grid_size = max(64, int(oversample) * int(max_degree))
-        grid_size += grid_size % 2
-    g = sample_sphere(f, grid_size, grid_size // 2)
-    return compute_coefficients(dfs_double(g))
+def coefficient_table_for(f, grid_size):
+    """Coefficient table of f: sampled on the ``grid_size`` x ``grid_size / 2`` lat-lon
+    grid, doubled to the ``grid_size`` x ``grid_size`` torus and transformed in full."""
+    return compute_coefficients(dfs_double(sample_sphere(f, grid_size, grid_size // 2)))
 
 
-#: one degree of :func:`truncations`
-Truncation = namedtuple("Truncation", "table reference omega synthesis max_error")
+class Truncation(namedtuple("Truncation", "table reference omega synthesis max_error")):
+    """One degree of :func:`truncations`."""
+
+    __slots__ = ()
+
+    @property
+    def tail_sum(self):
+        """Sum of |c_n| over the stored table outside the symmetrized set: the
+        paper's bound on the sup error (beyond the table the coefficients are
+        below the aliasing allowance)."""
+        inside = self.omega.symmetrized().contains(self.table.n1_values[None, :], self.table.n2_values[:, None])
+        return float(np.sum(np.abs(self.table.values[~inside])))
 
 
 def truncations(
@@ -111,18 +116,22 @@ def truncations(
 ):
     """Folded truncations of f at ascending degrees and their sup errors.
 
-    Builds one coefficient table (see :func:`coefficient_table_for`) and one
-    lat-lon reference grid of ``eval_size = (n_lambda, n_theta_half)``. For
-    each degree it synthesizes the folded series over the half-domain set, the
-    same sum as :func:`~dfsphere.spectral.dfs_fourier_sum`, on the reference's
-    rows only: the colatitudes 0 .. pi of the doubled grid, by a pruned inverse
-    FFT that forms no other row. It yields a
+    Builds one coefficient table (see :func:`coefficient_table_for`) of size
+    ``grid_size``, by default ``max(64, oversample * degrees[-1])`` rounded up
+    to even, and one lat-lon reference grid of ``eval_size = (n_lambda,
+    n_theta_half)``. For each degree it synthesizes the folded series over the
+    half-domain set, the same sum as :func:`~dfsphere.spectral.dfs_fourier_sum`,
+    on the reference's rows only: the colatitudes 0 .. pi of the doubled grid,
+    by a pruned inverse FFT that forms no other row. It yields a
     :class:`Truncation` carrying the table, the reference, the half-domain set,
     the synthesis as a :class:`~dfsphere.grids.LatLonGrid` and its sup error
-    over the reference.
+    over the reference; its ``tail_sum`` is the paper's bound on that error.
     """
     degrees = _check_degrees(degrees)
-    table = coefficient_table_for(f, degrees[-1], oversample, grid_size)
+    if grid_size is None:
+        grid_size = max(64, int(oversample) * degrees[-1])
+        grid_size += grid_size % 2
+    table = coefficient_table_for(f, grid_size)
     reference = sample_sphere(f, *eval_size)
     nth = reference.n_theta_half
     # torus row nth + j lies at colatitude pi j / nth; row 2 nth wraps to the theta = -pi row
@@ -164,23 +173,23 @@ def error_table(
         recorded alongside (comparison baseline).
 
     Each ``max_error`` comes from :func:`truncations`, synthesized on the
-    evaluation grid's own lat-lon rows. The spherical-harmonics sums of every
-    degree come from one :func:`~dfsphere.sh_reference.sh_synthesize` call on the
-    evaluation grid's longitudes and colatitudes: one matrix product.
+    evaluation grid's own lat-lon rows. Each ``sh_max_error`` comes from the
+    :func:`~dfsphere.sh_reference.sh_synthesize` sum at that row's degree on
+    the same longitudes and colatitudes.
 
     Rows are computed in order; each row's ``elapsed`` is the wall time from
     the start of the call to the end of that row, so it includes the
-    coefficient table, the reference grid and the spherical-harmonics sums.
+    coefficient table, the reference grid and the spherical-harmonics sums of
+    the rows before it.
     """
     start = time.perf_counter()
-    degrees = list(degrees)
     rows = []
     for t in truncations(f, degrees, shape, norm, eval_size, oversample, grid_size):
         sh_error = None
         if sh_coefficients is not None:
-            if not rows:  # one pass serves every degree; timed within the first row
-                sh_sums = sh_synthesize(sh_coefficients, t.reference.lambdas, t.reference.thetas, degrees)
-            sh_error = float(np.max(np.abs(sh_sums[len(rows)] - t.reference.values)))
+            ref = t.reference
+            (sh_sum,) = sh_synthesize(sh_coefficients, ref.lambdas, ref.thetas, [t.omega.degree])
+            sh_error = float(np.max(np.abs(sh_sum - ref.values)))
         rows.append(ErrorTableRow(
             degree=t.omega.degree,
             shape=shape if shape == "rectangle" else f"ball-{norm}",
@@ -398,33 +407,3 @@ def sobolev_probe(epsilons):
         sphere_energy=2.0 * np.pi * 2.0 * s_val,
         torus_energy=2.0 * np.pi * 2.0 * t_val,
     )
-
-
-# ---------------------------------------------------------------------------
-# uniform convergence against the coefficient tail bound
-
-@dataclass
-class ConvergenceStage:
-    degree: int
-    measured_error: float
-    tail_sum: float
-
-    def dominated(self, allowance=1e-8):
-        return self.measured_error <= self.tail_sum + allowance
-
-
-def uniform_convergence_check(
-    f, degrees, shape="rectangle", norm="l2", eval_size=(512, 256), oversample=4, grid_size=None
-):
-    """Measured sup error vs. the coefficient tail bound, stage by stage.
-
-    For nested truncations the sup error is bounded by the sum of |c_n| over
-    the excluded indices; the tail is computed over the stored table (beyond
-    it the coefficients are below the aliasing allowance).
-    """
-    stages = []
-    for t in truncations(f, degrees, shape, norm, eval_size, oversample, grid_size):
-        inside = t.omega.symmetrized().contains(t.table.n1_values[None, :], t.table.n2_values[:, None])
-        tail = float(np.sum(np.abs(t.table.values[~inside])))
-        stages.append(ConvergenceStage(degree=t.omega.degree, measured_error=t.max_error, tail_sum=tail))
-    return stages

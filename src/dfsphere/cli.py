@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, spectral, testfns
 from .grids import dfs_double, grid_io_write, sample_sphere
 from .sh_reference import sh_analyze
-from .spectral import _check_degrees, coeff_io_write, compute_coefficients
+from .spectral import _check_degrees, coeff_io_write
 
 SCHEMA_VERSION = 1
 
@@ -95,7 +95,7 @@ def cmd_coeffs(args):
     n = _check_grid(args.grid)
     if not args.out:
         raise ValueError("coeffs requires --out for the coefficient file")
-    table = compute_coefficients(dfs_double(sample_sphere(f, n, n // 2)))
+    table = analysis.coefficient_table_for(f, n)
     coeff_io_write(table, args.out)
     print(f"coeffs {name}: {n} x {n} grid -> {args.out}")
     print(f"coefficient symmetry (relative): {table.symmetry_violation():.3e}")
@@ -166,7 +166,7 @@ def cmd_error_table(args):
 def _verify_bmc_symmetry(args, report):
     f, name = _load_function(args)
     n = _check_grid(args.grid)
-    table = compute_coefficients(dfs_double(sample_sphere(f, n, n // 2)))
+    table = analysis.coefficient_table_for(f, n)
     violation = table.symmetry_violation()
     report["function"] = name
     report["max_relative_asymmetry"] = violation
@@ -188,7 +188,7 @@ def _verify_orthogonality(args, report):
 
 def _verify_decay(args, report):
     f, name = _load_function(args)
-    table = analysis.coefficient_table_for(f, 128, grid_size=max(args.grid, 512))
+    table = analysis.coefficient_table_for(f, max(args.grid, 512))
     rep = analysis.decay_report(table, k=3, alpha=0.9, r_min=8, r_max=128)
     report["function"] = name
     report["slope"] = rep.slope

@@ -482,14 +482,21 @@ def basis_gram(indices):
 
     The quadrature of :func:`gram_matrix` at its default 512^2 nodes without
     the sphere map: as e_n(lambda, theta) = exp(i n1 lambda) e_n(0, theta),
-    that sum is the Hadamard product of two Grams over 1-D nodes.
+    that sum is the Hadamard product of two Grams over 1-D nodes. Each is
+    taken once over the distinct 1-D rows, the phases of n1 = min .. max and
+    the colatitude factors of each n1 parity and n2, and then indexed by the
+    members. ``einsum`` forms these small Grams without a threaded BLAS call,
+    whose thread start-up stalled the 41-member Gram for 80-93 ms in some
+    fresh processes on 2 shared CPUs.
     """
     lam, theta, w = quadrature_rule(512)
-    n1 = np.array([a for a, _ in indices], dtype=int)
+    n1, n2 = np.array(indices, dtype=int).reshape(-1, 2).T
     n = np.arange(min(n1, default=0), max(n1, default=0) + 1)
-    e_lam = _phases(_angle_phases(lam), n)[n1 - n[0]]
-    e_theta = np.array([_colatitude_factor(a, b, theta) for a, b in indices])
-    return w * (e_lam @ e_lam.conj().T) * (e_theta @ e_theta.conj().T)
+    m = np.arange(min(n2, default=0), max(n2, default=0) + 1)
+    e_lam = _phases(_angle_phases(lam), n)
+    e_theta = np.array([_colatitude_factor(p, b, theta) for p in (0, 1) for b in m])
+    gram = lambda e, k: np.einsum("ip,jp->ij", e, e.conj())[np.ix_(k, k)]
+    return w * gram(e_lam, n1 - n[0]) * gram(e_theta, n1 % 2 * len(m) + n2 - m[0])
 
 
 def dfs_fourier_sum(table, omega, points):

@@ -29,7 +29,7 @@ from dfsphere.analysis import (
     fit_rate,
     hoelder_quotient_check,
     sobolev_probe,
-    uniform_convergence_check,
+    truncations,
     zeta_tail_sum,
 )
 from dfsphere.geometry import dfs_coord, dfs_coord_inverse, jacobian
@@ -181,12 +181,11 @@ def test_c05_zeta_identity():
 
 def test_c06_tail_sum_domination():
     start = time.perf_counter()
-    stages = uniform_convergence_check(
-        combo(), [8, 16, 32, 64], eval_size=(512, 256), grid_size=1024
-    )
-    bad = [s for s in stages if not s.dominated(1e-8)]
+    stages = [(t.omega.degree, t.max_error, t.tail_sum)
+              for t in truncations(combo(), [8, 16, 32, 64], eval_size=(512, 256), grid_size=1024)]
+    bad = [s for s in stages if not s[1] <= s[2] + 1e-8]
     elapsed = time.perf_counter() - start
-    detail = ", ".join(f"h={s.degree}: err {s.measured_error:.1e} <= tail {s.tail_sum:.1e}" for s in stages)
+    detail = ", ".join(f"h={h}: err {err:.1e} <= tail {tail:.1e}" for h, err, tail in stages)
     ok = not bad and elapsed <= 30.0
     report("C06", "tail-sum domination", ok, detail, elapsed)
     assert not bad

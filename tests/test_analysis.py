@@ -24,10 +24,10 @@ from dfsphere.analysis import (
     hoelder_quotient_check,
     sobolev_probe,
     truncations,
-    uniform_convergence_check,
     zeta_tail_sum,
 )
 from dfsphere.grids import dfs_double, sample_sphere
+from dfsphere.sh_reference import sh_analyze, sh_synthesize
 from dfsphere.spectral import CoefficientTable, compute_coefficients
 from dfsphere.testfns import preset, spherical_function, standard_combination
 
@@ -176,16 +176,19 @@ class TestErrorTable:
     @pytest.mark.parametrize("run", [
         lambda f, degrees: list(truncations(f, degrees, eval_size=(16, 8))),
         lambda f, degrees: error_table(f, degrees, eval_size=(16, 8)),
-        lambda f, degrees: uniform_convergence_check(f, degrees, eval_size=(16, 8)),
-    ], ids=["truncations", "error_table", "uniform_convergence_check"])
+    ], ids=["truncations", "error_table"])
     def test_rejects_bad_degree_list(self, run, degrees):
         # [] used to raise an IndexError
         with pytest.raises(ValueError, match="ascending"):
             run(combo(), degrees)
 
-    def test_elapsed_is_cumulative_from_call_start(self):
-        from dfsphere.sh_reference import sh_analyze
+    @pytest.mark.parametrize("degree, oversample, size", [(4, 4, 64), (25, 3, 76), (20, 5, 100)])
+    def test_default_table_size(self, degree, oversample, size):
+        # max(64, oversample * degree), rounded up to even
+        (t,) = truncations(combo(), [degree], eval_size=(64, 32), oversample=oversample)
+        assert t.table.values.shape == (size, size)
 
+    def test_elapsed_is_cumulative_from_call_start(self):
         f = combo()
         sh = sh_analyze(sample_sphere(f, 128, 64), 24)
         start = time.perf_counter()
@@ -196,11 +199,20 @@ class TestErrorTable:
         assert elapsed[-1] >= 0.9 * wall
 
 
+    def test_sh_rows_match_the_stacked_synthesis(self):
+        # oracle: one sh_synthesize call stacking the sums of every degree on
+        # the default 512 x 257 reference, each row's error taken from its slab
+        f = combo()
+        degrees = [8, 16, 24]
+        sh = sh_analyze(sample_sphere(f, 128, 64), 24)
+        rows = error_table(f, degrees, sh_coefficients=sh)
+        ref = sample_sphere(f, 512, 256)
+        stacked = sh_synthesize(sh, ref.lambdas, ref.thetas, degrees)
+        assert [r.sh_max_error for r in rows] == [float(np.max(np.abs(s - ref.values))) for s in stacked]
+
     def test_sh_column_memory_bounded(self):
         # the spherical-harmonics column on the default 512 x 257 reference;
         # its Legendre tables span the 257 colatitudes, not every grid point
-        from dfsphere.sh_reference import sh_analyze
-
         f = combo()
         sh = sh_analyze(sample_sphere(f, 128, 64), 24)
         tracemalloc.start()
@@ -213,6 +225,16 @@ class TestErrorTable:
         assert peak < 48 * 2**20
 
 
+class TestCoefficientTableFor:
+    @pytest.mark.parametrize("n", [4, 64, 512])
+    def test_is_the_full_transform_of_the_doubled_grid(self, n):
+        f = combo()
+        expected = compute_coefficients(dfs_double(sample_sphere(f, n, n // 2)))
+        table = coefficient_table_for(f, n)
+        assert np.array_equal(table.values, expected.values)
+        assert table._real_bmc == expected._real_bmc
+
+
 class TestDecayReport:
     def test_cos_theta_shells_vanish(self):
         f = lambda p: np.asarray(p)[..., 2]
@@ -222,13 +244,13 @@ class TestDecayReport:
         assert rep.slope == float("-inf")
 
     def test_combo_decay_exponent(self):
-        table = coefficient_table_for(combo(), 128, oversample=4, grid_size=512)
+        table = coefficient_table_for(combo(), 512)
         rep = decay_report(table, k=3, alpha=0.9, r_min=8, r_max=128)
         assert rep.slope <= -3.9
         assert rep.mann_kendall_frac >= 0.6
 
     def test_rescaled_sequence_bounded(self):
-        table = coefficient_table_for(combo(), 128, oversample=4, grid_size=512)
+        table = coefficient_table_for(combo(), 512)
         rep = decay_report(table, k=3, alpha=0.9, r_min=8, r_max=128)
         assert np.max(rep.rescaled) <= rep.rescaled[0] * 1.01
 
@@ -252,7 +274,7 @@ class TestDecayReport:
         # rescaled[j] <= rescaled[i]; the fraction must agree bit for bit
         rng = np.random.default_rng(5)
         tables = [
-            coefficient_table_for(combo(), 32, grid_size=128),
+            coefficient_table_for(combo(), 128),
             CoefficientTable(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))),
             CoefficientTable(rng.integers(0, 3, size=(64, 64)).astype(complex)),  # ties
         ]
@@ -266,24 +288,24 @@ class TestDecayReport:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_table(self, bad):
-        table = coefficient_table_for(combo(), 16, grid_size=64)
+        table = coefficient_table_for(combo(), 64)
         table.values[:] = bad
         with pytest.raises(ValueError, match="non-finite"):
             decay_report(table, 3, 0.9, r_min=1, r_max=16)
-        table = coefficient_table_for(combo(), 16, grid_size=64)
+        table = coefficient_table_for(combo(), 64)
         table.values[40, 30] = bad
         with pytest.raises(ValueError, match="non-finite"):
             decay_report(table, 3, 0.9, r_min=1, r_max=16)
 
     def test_incomplete_shells_rejected(self):
-        table = coefficient_table_for(combo(), 16, grid_size=64)
+        table = coefficient_table_for(combo(), 64)
         with pytest.raises(ValueError, match="incomplete"):
             decay_report(table, 3, 0.9, r_min=2, r_max=60)
 
     @pytest.mark.parametrize("r_min, r_max", [(0, 16), (9, 8)], ids=["radius-zero", "empty-range"])
     def test_rejects_radius_zero_or_empty_range(self, r_min, r_max):
         # radius 0 used to end in a LinAlgError from the fit, an empty range in slope -inf
-        table = coefficient_table_for(combo(), 16, grid_size=64)
+        table = coefficient_table_for(combo(), 64)
         with pytest.raises(ValueError, match="r_min"):
             decay_report(table, 3, 0.9, r_min=r_min, r_max=r_max)
 
@@ -383,25 +405,41 @@ class TestSobolevProbe:
             sobolev_probe(bad)
 
 
+def complement_tail_sum(table, omega):
+    """Oracle: sum of |c_n| over the table entries outside the symmetrized set."""
+    inside = omega.symmetrized().contains(table.n1_values[None, :], table.n2_values[:, None])
+    return float(np.sum(np.abs(table.values[~inside])))
+
+
 class TestUniformConvergence:
     def test_bandlimited_tail_vanishes(self):
         f = spherical_function(preset("bandlimited-4"))
-        stages = uniform_convergence_check(f, [4, 8], eval_size=(128, 64), grid_size=128)
+        stages = list(truncations(f, [4, 8], eval_size=(128, 64), grid_size=128))
         assert stages[0].tail_sum < 1e-12
-        assert stages[0].measured_error <= 1e-10
-        assert all(s.dominated() for s in stages)
+        assert stages[0].max_error <= 1e-10
+        assert all(t.max_error <= t.tail_sum + 1e-8 for t in stages)
 
     def test_combo_tail_dominates_at_every_stage(self):
-        stages = uniform_convergence_check(
-            combo(), [8, 16, 32, 64], eval_size=(256, 128), grid_size=512
-        )
-        for s in stages:
-            assert s.dominated(1e-8), (s.degree, s.measured_error, s.tail_sum)
+        for t in truncations(combo(), [8, 16, 32, 64], eval_size=(256, 128), grid_size=512):
+            assert t.max_error <= t.tail_sum + 1e-8, (t.omega.degree, t.max_error, t.tail_sum)
 
     def test_tail_bound_monotone(self):
-        stages = uniform_convergence_check(combo(), [8, 16, 32], eval_size=(128, 64), grid_size=256)
-        tails = [s.tail_sum for s in stages]
+        tails = [t.tail_sum for t in truncations(combo(), [8, 16, 32], eval_size=(128, 64), grid_size=256)]
         assert tails[0] > tails[1] > tails[2]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 16), st.sampled_from(["rectangle", "l1", "l2"]), st.data(), st.integers(0, 2**32 - 1),
+    )
+    def test_tail_sum_is_the_complement_sum(self, half_grid, kind, data, seed):
+        degrees = sorted(set(data.draw(st.lists(st.integers(0, half_grid - 1), min_size=1, max_size=3))))
+        n_lambda = 2 * data.draw(st.integers(degrees[-1] + 1, degrees[-1] + 8))
+        nth = data.draw(st.integers(degrees[-1] + 1, degrees[-1] + 8))
+        a, b = np.random.default_rng(seed).normal(size=(2, 3))
+        shape, norm = ("rectangle", "l2") if kind == "rectangle" else ("ball", kind)
+        for t in truncations(lambda p: np.exp(p @ a) * np.cos(p @ b), degrees, shape, norm,
+                             eval_size=(n_lambda, nth), grid_size=2 * half_grid):
+            assert t.tail_sum == complement_tail_sum(t.table, t.omega)
 
 
 class TestConcurrency:
@@ -411,7 +449,7 @@ class TestConcurrency:
 
         from dfsphere.spectral import SpectralSet, dfs_fourier_sum
 
-        table = coefficient_table_for(combo(), 16, grid_size=128)
+        table = coefficient_table_for(combo(), 128)
         omega = SpectralSet("rectangle", 12, half=True)
         rng = np.random.default_rng(77)
         batches = []

@@ -12,7 +12,7 @@ import dfsphere
 from dfsphere.analysis import coefficient_table_for, error_table
 from dfsphere.cli import main
 from dfsphere.grids import grid_io_read
-from dfsphere.spectral import SpectralSet, coeff_io_read, partial_sum_grid
+from dfsphere.spectral import SpectralSet, _grid_sum, coeff_io_read
 from dfsphere.testfns import preset, spherical_function
 
 
@@ -109,8 +109,8 @@ class TestApprox:
         assert grid.values.shape == (512, 512)
         assert grid.bmc is True
         assert grid.bmc_violation() == 0.0
-        table = coefficient_table_for(spherical_function(preset("f3-combo")), 12, grid_size=64)
-        expected = partial_sum_grid(table, SpectralSet(shape[0], 12, *shape[1:]), 512, 512).values
+        table = coefficient_table_for(spherical_function(preset("f3-combo")), 64)
+        expected = _grid_sum(table, SpectralSet(shape[0], 12, *shape[1:]), 512, 512, slice(None))
         assert np.max(np.abs(grid.values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_missing_out_exits_two(self, tmp_path, monkeypatch, capsys):

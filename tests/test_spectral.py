@@ -30,7 +30,7 @@ from dfsphere.spectral import (
 )
 from dfsphere.analysis import truncations
 from dfsphere.sh_reference import SHCoefficients, sh_partial_sums
-from dfsphere.spectral import _angle_phases, _grid_sum, _phases, _truncated_block
+from dfsphere.spectral import _angle_phases, _colatitude_factor, _grid_sum, _phases, _truncated_block
 from dfsphere.testfns import spherical_function, standard_combination
 
 
@@ -642,6 +642,19 @@ class TestWeightedInnerProduct:
         rows = [block.index(nm) for nm in family]
         assert len(family) == 41
         assert np.max(np.abs(basis_gram(family) - sampled[np.ix_(rows, rows)])) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 8)), max_size=12))
+    def test_basis_gram_matches_the_member_rows(self, indices):
+        # oracle: one 1-D row per member, e_lam = exp(i n1 lam) and e_theta its
+        # colatitude factor, and each Gram the product of the member rows
+        lam, theta, w = quadrature_rule(512)
+        e_lam = np.array([np.exp(1j * a * lam) for a, _ in indices]).reshape(-1, 512)
+        e_theta = np.array([_colatitude_factor(a, b, theta) for a, b in indices]).reshape(-1, 512)
+        expected = w * (e_lam @ e_lam.conj().T) * (e_theta @ e_theta.conj().T)
+        G = basis_gram(indices)
+        assert G.shape == expected.shape
+        assert np.max(np.abs(G - expected), initial=0.0) <= 1e-12
 
     def test_fifty_random_pairs_orthogonal(self):
         # wider index range than the block test; orthogonal-family members only
