@@ -118,7 +118,8 @@ class LatLonGrid:
 
     ``values`` has shape (n_theta_half + 1, n_lambda); row j holds theta_j =
     pi j / n_theta_half, so the first and last rows are the poles. ``values``
-    is float64 when given real samples and complex128 otherwise.
+    is float64 when given real samples and complex128 otherwise. A non-finite
+    sample raises ValueError.
     """
 
     values: np.ndarray
@@ -129,6 +130,8 @@ class LatLonGrid:
         self.values = _sample_array(self.values)
         if self.values.ndim != 2 or self.values.shape[0] < 2:
             raise ValueError("lat-lon grid values must be 2-d with at least two rows")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("lat-lon grid holds non-finite samples")
         self.n_theta_half = self.values.shape[0] - 1
         self.n_lambda = self.values.shape[1]
 
@@ -165,8 +168,8 @@ def sample_sphere(f, n_lambda, n_theta_half):
     ``f`` does there. The grid may take over the array ``f`` returns and
     overwrite its pole rows, so ``f`` must return one that nothing else
     holds. The grid is float64 when ``f`` returns real values and complex128
-    otherwise. A non-finite sample, or values of another shape than the
-    nodes, raises ValueError.
+    otherwise. Values of another shape than the nodes, or a non-finite
+    sample (:class:`LatLonGrid`), raise ValueError.
     """
     if n_lambda < 2 or n_lambda % 2:
         raise ValueError(f"n_lambda must be even and >= 2, got {n_lambda}")
@@ -176,8 +179,8 @@ def sample_sphere(f, n_lambda, n_theta_half):
     points = dfs_coord(_periodic_nodes(n_lambda)[None, :], theta[:, None])
     points[0], points[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)  # sin(pi) is not 0 in floating point
     vals = np.asarray(f(points))
-    if vals.shape != points.shape[:-1] or not np.all(np.isfinite(vals)):
-        raise ValueError(f"sampled function returned non-finite values or a shape other than {points.shape[:-1]}")
+    if vals.shape != points.shape[:-1]:
+        raise ValueError(f"sampled function returned values of a shape other than {points.shape[:-1]}")
     grid = LatLonGrid(vals)
     grid.values[0], grid.values[-1] = grid.values[0, 0], grid.values[-1, 0]
     return grid

@@ -54,6 +54,17 @@ def _alternating(n):
     return np.where(np.asarray(n) % 2 == 0, 1.0, -1.0)
 
 
+def _negate_odd_columns(rows):
+    """Negate, in place, the odd-n1 columns of rows of a centered table: (-1)^{n1} times each row.
+
+    Column k holds n1 = k - N1/2, so the odd n1 start at column (N1/2 + 1)
+    mod 2. Negation flips the sign of zero components too, where a product
+    with the complex -1 takes it from its cross terms.
+    """
+    odd = rows[:, (rows.shape[1] // 2 + 1) % 2 :: 2]
+    np.negative(odd, out=odd)
+
+
 def _centered(n):
     """The centered index range -n/2 .. n/2 - 1 of an even table side n."""
     return np.arange(-(n // 2), n // 2)
@@ -205,12 +216,16 @@ def _real_coefficients(x):
     """Centered coefficient table of a real grid ``x`` sampled from (-pi, -pi).
 
     Rolling the origin to (0, 0) takes the factor (-1)^{n1+n2} out of the
-    transform; the n1 < 0 columns follow from c_{-n} = conj(c_n).
+    transform; the n1 < 0 columns follow from c_{-n} = conj(c_n). The
+    transform is an ``rfft`` along lambda, then an ``fft`` along theta in
+    place, so the strided theta pass writes no fresh array; the result is
+    ``rfft2``'s bit for bit, as ``rfft2`` takes the same two passes.
     """
     N2, N1 = x.shape
     h2, h1 = N2 // 2, N1 // 2
     # rows n2 mod N2, columns n1 = 0 .. N1/2; norm="forward" divides by N1 N2 inside the transform
-    half = np.fft.rfft2(np.roll(x, (h2, h1), axis=(0, 1)), norm="forward")
+    half = np.fft.rfft(np.roll(x, (h2, h1), axis=(0, 1)), axis=1, norm="forward")
+    np.fft.fft(half, axis=0, norm="forward", out=half)
     table = np.empty((N2, N1), dtype=complex)
     table[h2:, h1:] = half[:h2, :h1]
     table[:h2, h1:] = half[h2:, :h1]
@@ -356,12 +371,12 @@ def _grid_sum(table, omega, n_theta, n_lambda, rows):
     """Rows ``rows`` of the sum of :func:`_truncated_block` on an n_theta x n_lambda torus grid.
 
     The block's columns alone are zero-padded to n_theta and transformed along
-    theta; the requested rows are then placed in the lambda spectrum and
-    transformed along lambda, so neither the padded 2-d spectrum nor the rows
-    left out are ever formed. A half-domain set gives the folded series. A
-    block of n1 >= 0 columns is transformed by ``irfft``, which adds the
-    conjugate columns n1 < 0 itself; the result stays complex, with imaginary
-    part 0. Returns shape (len(rows), n_lambda).
+    theta, in place; the requested rows are then placed in the lambda
+    spectrum and transformed along lambda, so neither the padded 2-d spectrum
+    nor the rows left out are ever formed. A half-domain set gives the folded
+    series. A block of n1 >= 0 columns is transformed by ``irfft``, which adds
+    the conjugate columns n1 < 0 itself; the result stays complex, with
+    imaginary part 0. Returns shape (len(rows), n_lambda).
     """
     n1, n2, block, real = _truncated_block(table, omega)
     width = 2 * len(n1) - 1 if real else len(n1)
@@ -373,7 +388,7 @@ def _grid_sum(table, omega, n_theta, n_lambda, rows):
     columns = np.zeros((n_theta, len(n1)), dtype=complex)
     columns[n2 % n_theta] = block
     # norm="forward" leaves the inverse transforms unscaled, as the sum is
-    columns = np.fft.ifft(columns, axis=0, norm="forward")[rows]
+    columns = np.fft.ifft(columns, axis=0, norm="forward", out=columns)[rows]
     spec = np.zeros((columns.shape[0], n_lambda // 2 + 1 if real else n_lambda), dtype=complex)
     spec[:, n1 % n_lambda] = columns
     if real:
@@ -519,9 +534,11 @@ def _mirror_residual(values):
     The half holds (-1)^{n1} c_(n1, -n2) for the rows n2 = 0 .. N2/2 - 1 and
     then the self-paired Nyquist row. As |c_n - (-1)^{n1} c_{M(n)}| is the same
     for rows n2 and -n2, comparing these rows with their mirrors covers the table.
+    The sign is a copy with the odd-n1 columns negated in place.
     """
-    h2, N1 = values.shape[0] // 2, values.shape[1]
-    mirrored = _alternating(_centered(N1))[None, :] * values[h2::-1]
+    h2 = values.shape[0] // 2
+    mirrored = values[h2::-1].copy()
+    _negate_odd_columns(mirrored)
     resid = np.maximum(np.max(np.abs(values[h2:] - mirrored[:h2])), np.max(np.abs(values[0] - mirrored[h2])))
     scale = np.max(np.abs(values))
     return mirrored, 0.0 if scale == 0 else float(resid / scale)
@@ -549,14 +566,18 @@ def fold_coefficients(table):
 
 
 def unfold_coefficients(folded):
-    """Rebuild the symmetrized full table from its half-domain fold."""
+    """Rebuild the symmetrized full table from its half-domain fold.
+
+    The rows n2 < 0 are copies of the rows -n2 with the odd-n1 columns
+    negated in place.
+    """
     n_half, N1 = folded.values.shape
     N2 = 2 * (n_half - 1)
-    sgn = _alternating(_centered(N1))[None, :]
     full = np.empty((N2, N1), dtype=complex)
     full[N2 // 2:] = folded.values[: N2 // 2]
     full[0] = folded.values[N2 // 2]
-    full[N2 // 2 - 1:0:-1] = sgn * folded.values[1:N2 // 2]
+    full[N2 // 2 - 1:0:-1] = folded.values[1:N2 // 2]
+    _negate_odd_columns(full[1 : N2 // 2])
     return CoefficientTable(full)
 
 

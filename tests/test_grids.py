@@ -141,6 +141,16 @@ class TestSampleSphere:
             sample_sphere(bad, 8, 4)
 
 
+class TestLatLonGrid:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)])
+    def test_rejects_non_finite_samples(self, bad):
+        # such a grid used to reach dfs_double and sh_analyze, which passed the NaN on
+        values = np.ones((9, 16), dtype=type(bad))
+        values[4, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LatLonGrid(values)
+
+
 class TestDouble:
     def test_constant(self):
         g = sample_sphere(lambda p: np.ones(np.asarray(p).shape[:-1]), 8, 4)

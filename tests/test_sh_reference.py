@@ -165,6 +165,14 @@ class TestAnalyze:
         co = sh_analyze(sample_sphere(f, 32, 16), h=4)
         assert_allclose(co.coeff(1, 0), np.sqrt(4 * np.pi / 3), atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        # a grid holding one NaN used to give 16 NaN coefficients of 28, with no error
+        values = np.random.default_rng(5).normal(size=(9, 16))
+        values[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sh_analyze(LatLonGrid(values), 3)
+
     def test_insufficient_resolution_rejected(self):
         g = sample_sphere(lambda p: np.asarray(p)[..., 2], 16, 8)
         with pytest.raises(ValueError, match="under-resolves"):

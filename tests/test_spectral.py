@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -48,6 +48,11 @@ def cos_theta_table(n=32):
 
 def alternating(n):
     return np.where(np.arange(-(n // 2), n // 2) % 2 == 0, 1.0, -1.0)
+
+
+def alternating_of(n):
+    """(-1)**n of integer arrays, as floats."""
+    return np.where(np.asarray(n) % 2 == 0, 1.0, -1.0)
 
 
 def fft2_reference(values):
@@ -290,10 +295,10 @@ class TestComputeCoefficients:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), "glide pair of infs"])
     def test_rejects_non_finite_samples(self, bad):
         if bad == "glide pair of infs":
-            # a doubled grid copies the inf to its glide image, so the pair is equal but not finite
-            values = np.ones((5, 8))
-            values[2, 3] = np.inf
-            grid = dfs_double(LatLonGrid(values))
+            # an inf and its glide image (row -j, column k + n/2): the pair is equal but not finite
+            values = np.ones((8, 8))
+            values[2, 3] = values[-2, 7] = np.inf
+            grid = TorusGrid(values)
         else:
             values = np.ones((8, 8), dtype=type(bad))
             values[3, 5] = bad
@@ -1049,6 +1054,145 @@ class TestFold:
         assert np.isnan(table.conjugate_symmetry_violation())
         with pytest.raises(ValueError, match="symmetry violated"):
             fold_coefficients(table)
+
+
+def rfft2_half_table(x):
+    """Reference forward pass of a real grid: one out-of-place rfft2, then the centered table assembled from it."""
+    N2, N1 = x.shape
+    h2, h1 = N2 // 2, N1 // 2
+    half = np.fft.rfft2(np.roll(x, (h2, h1), axis=(0, 1)), norm="forward")
+    table = np.empty((N2, N1), dtype=complex)
+    table[h2:, h1:] = half[:h2, :h1]
+    table[:h2, h1:] = half[h2:, :h1]
+    np.conjugate(half[h2::-1, h1:0:-1], out=table[: h2 + 1, :h1])
+    np.conjugate(half[:h2:-1, h1:0:-1], out=table[h2 + 1 :, :h1])
+    return table
+
+
+def rfft2_coefficients(values):
+    """Reference table of a grid: that of its real part plus, when its imaginary part is nonzero, i times that of it."""
+    table = rfft2_half_table(values.real)
+    if np.iscomplexobj(values) and np.any(values.imag):
+        table += 1j * rfft2_half_table(values.imag)
+    return table
+
+
+def out_of_place_grid_sum(table, omega, n_theta, n_lambda, rows):
+    """Reference grid sum: the theta ifft writes a fresh array, the rest as in _grid_sum."""
+    n1, n2, block, real = _truncated_block(table, omega)
+    block *= alternating_of(n2)[:, None] * alternating_of(n1)[None, :]
+    columns = np.zeros((n_theta, len(n1)), dtype=complex)
+    columns[n2 % n_theta] = block
+    columns = np.fft.ifft(columns, axis=0, norm="forward")[rows]
+    spec = np.zeros((columns.shape[0], n_lambda // 2 + 1 if real else n_lambda), dtype=complex)
+    spec[:, n1 % n_lambda] = columns
+    if real:
+        return np.fft.irfft(spec, n_lambda, axis=1, norm="forward").astype(complex)
+    return np.fft.ifft(spec, axis=1, norm="forward")
+
+
+def sign_row_mirror(values):
+    """Reference mirrored half: the float row (-1)^{n1} times rows n2 = 0 .. -N2/2, as a complex product."""
+    h2, N1 = values.shape[0] // 2, values.shape[1]
+    return alternating(N1)[None, :] * values[h2::-1]
+
+
+def sign_row_violation(values):
+    """Reference symmetry figure from the sign-row mirror."""
+    h2 = values.shape[0] // 2
+    mirrored = sign_row_mirror(values)
+    resid = np.maximum(np.max(np.abs(values[h2:] - mirrored[:h2])), np.max(np.abs(values[0] - mirrored[h2])))
+    scale = np.max(np.abs(values))
+    return 0.0 if scale == 0 else float(resid / scale)
+
+
+def sign_row_fold(values):
+    """Reference fold from the sign-row mirror."""
+    h2 = values.shape[0] // 2
+    half = sign_row_mirror(values)
+    half[:h2] += values[h2:]
+    half[h2] += values[0]
+    half *= 0.5
+    return half
+
+
+def sign_row_unfold(folded):
+    """Reference unfold: the rows n2 < 0 as the float sign row times the rows -n2."""
+    n_half, N1 = folded.shape
+    N2 = 2 * (n_half - 1)
+    full = np.empty((N2, N1), dtype=complex)
+    full[N2 // 2:] = folded[: N2 // 2]
+    full[0] = folded[N2 // 2]
+    full[N2 // 2 - 1:0:-1] = alternating(N1)[None, :] * folded[1:N2 // 2]
+    return full
+
+
+def same_bits_but_zero_signs(a, b):
+    """a and b hold the same bits once each -0.0 component is read as +0.0.
+
+    A complex product with the float -1.0 or 1.0 takes the sign of a zero
+    component from its cross terms: (+0 + bi) times -1 has real part
+    -0 - b*0, which is +0 for b < 0, where negation gives -0. Nonzero, NaN
+    and inf components are the same either way.
+    """
+    return np.array_equal(a, b, equal_nan=True) and (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+class TestInPlaceAndNegatedForms:
+    """The in-place theta passes and the negated odd-n1 columns against the out-of-place and sign-row forms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 32), st.integers(1, 32), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(1, 1, False, 0)
+    @example(1, 1, True, 0)
+    def test_forward_transform_is_the_rfft2_table_bit_for_bit(self, half2, half1, is_complex, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(2 * half2, 2 * half1))
+        if is_complex:
+            values = values + 1j * rng.normal(size=values.shape)
+        assert compute_coefficients(TorusGrid(values)).values.tobytes() == rfft2_coefficients(values).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(sums_of(st.one_of(doubled_tables(), random_tables())), st.data())
+    def test_grid_sum_is_the_out_of_place_sum_bit_for_bit(self, drawn, data):
+        table, omega, _, n_theta, n_lambda = drawn
+        rows = data.draw(st.one_of(st.just(slice(None)),
+                                   st.lists(st.integers(0, n_theta - 1), min_size=1, max_size=n_theta).map(np.array)))
+        for sub in (omega, omega.symmetrized()):
+            got = _grid_sum(table, sub, n_theta, n_lambda, rows)
+            assert got.tobytes() == out_of_place_grid_sum(table, sub, n_theta, n_lambda, rows).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(doubled_tables(), real_grid_tables(), random_tables()))
+    def test_symmetry_violation_is_the_sign_row_figure_bit_for_bit(self, table):
+        assert np.float64(table.symmetry_violation()).tobytes() == np.float64(sign_row_violation(table.values)).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(doubled_tables())
+    def test_fold_and_unfold_are_the_sign_row_forms(self, table):
+        folded = fold_coefficients(table).values
+        assert same_bits_but_zero_signs(folded, sign_row_fold(table.values))
+        assert same_bits_but_zero_signs(unfold_coefficients(FoldedCoefficientTable(folded)).values,
+                                        sign_row_unfold(folded))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32 - 1))
+    def test_unfold_of_any_half_table_is_the_sign_row_form(self, half2, half1, seed):
+        rng = np.random.default_rng(seed)
+        shape = (half2 + 1, 2 * half1)
+        folded = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        folded[rng.random(shape) < 0.2] = 0.0
+        assert same_bits_but_zero_signs(unfold_coefficients(FoldedCoefficientTable(folded)).values,
+                                        sign_row_unfold(folded))
+
+    def test_negation_and_the_product_differ_in_zero_signs(self):
+        # a real grid with N1/2 odd: the n1 = -N1/2 column is odd and purely imaginary, with real part +0
+        table = compute_coefficients(dfs_double(LatLonGrid(np.random.default_rng(3).normal(size=(5, 6)))))
+        folded = fold_coefficients(table).values
+        got = unfold_coefficients(FoldedCoefficientTable(folded)).values
+        product = sign_row_unfold(folded)
+        assert np.array_equal(got, product) and got.tobytes() != product.tobytes()
+        assert same_bits_but_zero_signs(got, product)
 
 
 @pytest.fixture(scope="module")
