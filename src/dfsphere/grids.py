@@ -41,6 +41,11 @@ def _periodic_nodes(n):
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
+def _colatitude_nodes(nth):
+    """The nth + 1 equispaced colatitudes pi k / nth, k = 0 .. nth, of a lat-lon grid, poles included."""
+    return np.pi * np.arange(nth + 1) / nth
+
+
 def _sample_array(values):
     """Contiguous float64 samples when ``values`` is real, complex128 otherwise."""
     return np.ascontiguousarray(values, dtype=float if np.isrealobj(values) else complex)
@@ -141,7 +146,7 @@ class LatLonGrid:
 
     @property
     def thetas(self):
-        return np.pi * np.arange(self.n_theta_half + 1) / self.n_theta_half
+        return _colatitude_nodes(self.n_theta_half)
 
     def pole_row_spread(self):
         """Max in-row variation of the two pole rows (ideally 0)."""
@@ -175,8 +180,7 @@ def sample_sphere(f, n_lambda, n_theta_half):
         raise ValueError(f"n_lambda must be even and >= 2, got {n_lambda}")
     if n_theta_half < 1:
         raise ValueError(f"n_theta_half must be >= 1, got {n_theta_half}")
-    theta = np.pi * np.arange(n_theta_half + 1) / n_theta_half
-    points = dfs_coord(_periodic_nodes(n_lambda)[None, :], theta[:, None])
+    points = dfs_coord(_periodic_nodes(n_lambda)[None, :], _colatitude_nodes(n_theta_half)[:, None])
     points[0], points[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)  # sin(pi) is not 0 in floating point
     vals = np.asarray(f(points))
     if vals.shape != points.shape[:-1]:

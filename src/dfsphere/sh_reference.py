@@ -24,7 +24,6 @@ from .spectral import _angle_phases, _check_degrees, _phases
 
 __all__ = [
     "SHCoefficients",
-    "legendre_table",
     "clenshaw_curtis_weights",
     "sh_analyze",
     "sh_partial_sums",
@@ -32,37 +31,34 @@ __all__ = [
 ]
 
 
-def legendre_table(h, k, t):
-    """Normalized associated Legendre values Pbar_n^k(t) for n = k .. h.
+def _legendre_orders(h, w):
+    """Normalized associated Legendre tables Pbar_n^k(cos theta), n = k .. h, for k = 0 .. h in turn.
 
-    Three-term recurrence in the degree with the normalized seed
-    Pbar_0^0 = 1/sqrt(4 pi); the Condon-Shortley phase (-1)^k is carried by
-    the minus sign in the order-raising step. Stable for the moderate degrees
-    used here (the recurrence underflows only for orders in the thousands).
-
-    Returns an array of shape (h - k + 1,) + t.shape.
+    cos and sin theta are the real and imaginary parts of the unit phases
+    ``w`` = exp(i theta), so the sine keeps its relative accuracy at the
+    poles. The seed Pbar_k^k = -sqrt((2k + 1) / 2k) sin theta Pbar_{k-1}^{k-1}
+    (the minus sign carries the Condon-Shortley phase; Pbar_0^0 = 1/sqrt(4 pi))
+    is carried from order to order, and a three-term recurrence in the degree
+    fills each table, of shape (h - k + 1,) + w.shape. The seed underflows
+    only for orders in the thousands.
     """
-    if k < 0 or k > h:
-        raise ValueError("order must satisfy 0 <= k <= degree bound")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
-        raise ValueError("argument must lie in [-1, 1]")
-    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    pkk = np.full(t.shape, 1.0 / np.sqrt(4.0 * np.pi))
-    for m in range(1, k + 1):
-        pkk = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pkk
-    out = np.empty((h - k + 1,) + t.shape)
-    out[0] = pkk
-    if h > k:
-        out[1] = np.sqrt(2.0 * k + 3.0) * t * pkk
-        for n in range(k + 2, h + 1):
-            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - k * k))
-            b = np.sqrt(
-                ((2.0 * n + 1.0) * (n - 1.0 - k) * (n - 1.0 + k))
-                / ((2.0 * n - 3.0) * (n * n - k * k))
-            )
-            out[n - k] = a * t * out[n - k - 1] - b * out[n - k - 2]
-    return out
+    t, s = w.real, w.imag
+    pkk = np.full(w.shape, 1.0 / np.sqrt(4.0 * np.pi))
+    for k in range(h + 1):
+        if k:
+            pkk = -np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * pkk
+        out = np.empty((h - k + 1,) + w.shape)
+        out[0] = pkk
+        if h > k:
+            out[1] = np.sqrt(2.0 * k + 3.0) * t * pkk
+            for n in range(k + 2, h + 1):
+                a = np.sqrt((4.0 * n * n - 1.0) / (n * n - k * k))
+                b = np.sqrt(
+                    ((2.0 * n + 1.0) * (n - 1.0 - k) * (n - 1.0 + k))
+                    / ((2.0 * n - 3.0) * (n * n - k * k))
+                )
+                out[n - k] = a * t * out[n - k - 1] - b * out[n - k - 2]
+        yield out
 
 
 def clenshaw_curtis_weights(n):
@@ -123,9 +119,10 @@ def sh_analyze(grid, h):
 
     fhat_{n,k} = integral of f conj(Y_n^k) over the sphere, computed by an FFT
     in longitude and Clenshaw-Curtis quadrature (with the sin(theta) surface
-    factor absorbed by the t = cos(theta) substitution) in colatitude. Exact
-    up to rounding for spherical polynomials of degree <= h when the grid
-    resolves them (resolution >= 2h + 2 in both directions).
+    factor absorbed by the t = cos(theta) substitution) in colatitude, on one
+    Legendre sweep over the phases exp(i theta) of the grid's colatitudes.
+    Exact up to rounding for spherical polynomials of degree <= h when the
+    grid resolves them (resolution >= 2h + 2 in both directions).
     """
     nth = grid.n_theta_half
     nlam = grid.n_lambda
@@ -138,11 +135,10 @@ def sh_analyze(grid, h):
     # starts at lambda = -pi, hence the (-1)^k factor relative to the raw FFT.
     ghat = np.fft.fft(grid.values, axis=1) * (2.0 * np.pi / nlam)
     values = np.zeros((h + 1, 2 * h + 1), dtype=complex)
-    t = np.cos(grid.thetas)
-    for k in range(h + 1):
+    for k, P in enumerate(_legendre_orders(h, _angle_phases(grid.thetas))):
         # orders k and -k: the (-1)^k of the grid origin, times (-1)^k of Pbar_n^-k for -k
         rhs = ghat[:, [k, -k]] * (w[:, None] * [(-1.0) ** k, 1.0])
-        values[k:, [h + k, h - k]] = legendre_table(h, k, t) @ rhs
+        values[k:, [h + k, h - k]] = P @ rhs
     return SHCoefficients(degree=h, values=values)
 
 
@@ -154,21 +150,21 @@ def _truncation_mask(coeffs, degrees):
     return np.arange(degrees[-1] + 1)[:, None] <= np.asarray(degrees)
 
 
-def _colatitude_table(coeffs, keep, t):
-    """A[k + h, j, d] = sum over n <= degrees[d] of fhat_{n,k} Pbar_n^k(t[j]), k = -h .. h.
+def _colatitude_table(coeffs, keep, w):
+    """A[k + h, j, d] = sum over n <= degrees[d] of fhat_{n,k} Pbar_n^k(cos theta_j), k = -h .. h.
 
-    ``keep`` is the :func:`_truncation_mask` of the degrees, h their largest.
-    Each Legendre table serves the orders k and -k, Pbar_n^-k = (-1)^k Pbar_n^k
-    being a sign on the coefficients. Each real product reads the complex
-    coefficients as float pairs and writes its (j, d) slab of A in place.
+    ``w`` holds the 1-d unit phases exp(i theta_j) and ``keep`` the
+    :func:`_truncation_mask` of the degrees, h their largest. Each Legendre
+    table serves the orders k and -k, Pbar_n^-k = (-1)^k Pbar_n^k being a sign
+    on the coefficients. Each real product reads the complex coefficients as
+    float pairs and writes its (j, d) slab of A in place.
     """
     h = len(keep) - 1
-    A = np.empty((2 * h + 1, len(t), keep.shape[1]), dtype=complex)
-    for k in range(h + 1):
-        P = legendre_table(h, k, t).T
+    A = np.empty((2 * h + 1, len(w), keep.shape[1]), dtype=complex)
+    for k, P in enumerate(_legendre_orders(h, w)):
         for m in {k, -k}:
             c = keep[k:] * coeffs.values[k:h + 1, coeffs.degree + m, None] * (1.0 if m >= 0 else (-1.0) ** k)
-            np.dot(P, c.view(float), out=A[h + m].view(float))
+            np.dot(P.T, c.view(float), out=A[h + m].view(float))
     return A
 
 
@@ -177,13 +173,13 @@ def sh_synthesize(coeffs, lam, theta, degrees):
 
     The colatitude table (:func:`_colatitude_table`) contracted over k with the
     phases exp(i k lam), k = -h .. h: one matrix product. Returns shape
-    (len(degrees), len(theta), len(lam)).
+    (len(degrees), len(theta), len(lam)); a non-finite angle raises ValueError.
     """
     if np.ndim(lam) != 1 or np.ndim(theta) != 1:
         raise ValueError(f"longitudes and colatitudes must be 1-d, got {np.shape(lam)} and {np.shape(theta)}")
     keep = _truncation_mask(coeffs, degrees)
     h = len(keep) - 1
-    sums = np.tensordot(_colatitude_table(coeffs, keep, np.cos(theta)),
+    sums = np.tensordot(_colatitude_table(coeffs, keep, _angle_phases(theta)),
                         _phases(_angle_phases(lam), np.arange(-h, h + 1)), (0, 0))
     return np.moveaxis(sums, 1, 0)
 
@@ -191,7 +187,7 @@ def sh_synthesize(coeffs, lam, theta, degrees):
 def sh_partial_sums(coeffs, points, degrees):
     """Truncations at each requested degree (ascending) at sphere points, shape (..., 3).
 
-    The points' unit phases give exp(i lam) and t = cos(theta) = Re exp(i theta).
+    The points' unit phases give exp(i lam) and the Legendre sweep's exp(i theta).
     Points go in slices whose colatitude table holds at most 2^21 entries; one
     ``einsum`` contracts it with the slice's phases. Returns shape
     (len(degrees),) + points.shape[:-1].
@@ -200,11 +196,11 @@ def sh_partial_sums(coeffs, points, degrees):
     h = len(keep) - 1
     w_lam, w_theta = _unit_phases(points)
     shape = w_lam.shape
-    w_lam, t = w_lam.ravel(), w_theta.real.ravel()
+    w_lam, w_theta = w_lam.ravel(), w_theta.ravel()
     out = np.empty((keep.shape[1], w_lam.size), dtype=complex)
     step = max(1, 2**21 // (keep.shape[1] * (2 * h + 1)))
     for s in range(0, w_lam.size, step):
         # no name holds a slice's tables, so they are freed before the next slice builds its own
-        np.einsum("kpd,kp->dp", _colatitude_table(coeffs, keep, t[s : s + step]),
+        np.einsum("kpd,kp->dp", _colatitude_table(coeffs, keep, w_theta[s : s + step]),
                   _phases(w_lam[s : s + step], np.arange(-h, h + 1)), out=out[:, s : s + step])
     return out.reshape(out.shape[:1] + shape)

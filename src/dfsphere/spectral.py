@@ -49,19 +49,14 @@ _COEFF_LAYOUT = ("coefficient", COEFF_MAGIC, COEFF_VERSION, "<4sIqqqqB")
 _SYMMETRY_TOL = 1e-8
 
 
-def _alternating(n):
-    """(-1)**n for integer arrays, as floats."""
-    return np.where(np.asarray(n) % 2 == 0, 1.0, -1.0)
+def _negate_odd_columns(rows, first):
+    """Negate, in place, the odd-index columns of ``rows``, column 0 holding index ``first``: (-1)^n times each row.
 
-
-def _negate_odd_columns(rows):
-    """Negate, in place, the odd-n1 columns of rows of a centered table: (-1)^{n1} times each row.
-
-    Column k holds n1 = k - N1/2, so the odd n1 start at column (N1/2 + 1)
+    Column c holds n = first + c, so the odd n start at column (first + 1)
     mod 2. Negation flips the sign of zero components too, where a product
     with the complex -1 takes it from its cross terms.
     """
-    odd = rows[:, (rows.shape[1] // 2 + 1) % 2 :: 2]
+    odd = rows[:, (first + 1) % 2 :: 2]
     np.negative(odd, out=odd)
 
 
@@ -292,7 +287,8 @@ def _truncated_block(table, omega):
     block = table.values[np.ix_(n + N2 // 2, n1 + N1 // 2)]
     block[~omega.contains(*np.meshgrid(n1, n))] = 0.0
     if omega.half:
-        block[: omega.degree] = _alternating(n1) * block[: omega.degree : -1]
+        block[: omega.degree] = block[: omega.degree : -1]
+        _negate_odd_columns(block[: omega.degree], n1[0])
     return n1, n, block, real
 
 
@@ -384,7 +380,9 @@ def _grid_sum(table, omega, n_theta, n_lambda, rows):
         raise ValueError(
             f"target grid {n_theta} x {n_lambda} cannot hold the {len(n2)} x {width} coefficient block"
         )
-    block *= _alternating(n2)[:, None] * _alternating(n1)[None, :]
+    # (-1)^{n1 + n2} moves the origin to (-pi, -pi)
+    _negate_odd_columns(block, n1[0])
+    _negate_odd_columns(block.T, n2[0])
     columns = np.zeros((n_theta, len(n1)), dtype=complex)
     columns[n2 % n_theta] = block
     # norm="forward" leaves the inverse transforms unscaled, as the sum is
@@ -538,7 +536,7 @@ def _mirror_residual(values):
     """
     h2 = values.shape[0] // 2
     mirrored = values[h2::-1].copy()
-    _negate_odd_columns(mirrored)
+    _negate_odd_columns(mirrored, -(values.shape[1] // 2))
     resid = np.maximum(np.max(np.abs(values[h2:] - mirrored[:h2])), np.max(np.abs(values[0] - mirrored[h2])))
     scale = np.max(np.abs(values))
     return mirrored, 0.0 if scale == 0 else float(resid / scale)
@@ -577,7 +575,7 @@ def unfold_coefficients(folded):
     full[N2 // 2:] = folded.values[: N2 // 2]
     full[0] = folded.values[N2 // 2]
     full[N2 // 2 - 1:0:-1] = folded.values[1:N2 // 2]
-    _negate_odd_columns(full[1 : N2 // 2])
+    _negate_odd_columns(full[1 : N2 // 2], -(N1 // 2))
     return CoefficientTable(full)
 
 

@@ -12,13 +12,50 @@ from dfsphere.geometry import dfs_coord
 from dfsphere.grids import LatLonGrid, sample_sphere
 from dfsphere.sh_reference import (
     SHCoefficients,
+    _legendre_orders,
     clenshaw_curtis_weights,
-    legendre_table,
     sh_analyze,
     sh_partial_sums,
     sh_synthesize,
 )
 from dfsphere.testfns import preset, spherical_function
+
+
+def legendre_table(h, k, t, s=None):
+    """Oracle: Pbar_n^k(t), n = k .. h, with the seed rebuilt from order 0 on every call.
+
+    sin theta is ``s`` when given, else sqrt(1 - t^2), which loses its
+    relative accuracy near the poles. Returns shape (h - k + 1,) + t.shape.
+    """
+    if k < 0 or k > h:
+        raise ValueError("order must satisfy 0 <= k <= degree bound")
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0):
+        raise ValueError("argument must lie in [-1, 1]")
+    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None)) if s is None else np.asarray(s, dtype=float)
+    pkk = np.full(t.shape, 1.0 / np.sqrt(4.0 * np.pi))
+    for m in range(1, k + 1):
+        pkk = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pkk
+    out = np.empty((h - k + 1,) + t.shape)
+    out[0] = pkk
+    if h > k:
+        out[1] = np.sqrt(2.0 * k + 3.0) * t * pkk
+        for n in range(k + 2, h + 1):
+            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - k * k))
+            b = np.sqrt(
+                ((2.0 * n + 1.0) * (n - 1.0 - k) * (n - 1.0 + k))
+                / ((2.0 * n - 3.0) * (n * n - k * k))
+            )
+            out[n - k] = a * t * out[n - k - 1] - b * out[n - k - 2]
+    return out
+
+
+def cos_phases(t):
+    """Unit phases t + i sqrt(1 - t^2) of cosines t in [-1, 1], the sign of a zero t kept."""
+    t = np.asarray(t, dtype=float)
+    w = np.empty(t.shape, dtype=complex)
+    w.real, w.imag = t, np.sqrt(1.0 - t * t)
+    return w
 
 
 def synth_harmonic(n, k):
@@ -28,7 +65,7 @@ def synth_harmonic(n, k):
         p = np.asarray(points, dtype=float)
         z = np.clip(p[..., 2], -1, 1)
         lam = np.arctan2(p[..., 1], p[..., 0])
-        P = legendre_table(n, abs(k), z)[-1]
+        P = legendre_table(n, abs(k), z, np.hypot(p[..., 0], p[..., 1]))[-1]
         if k < 0:
             P = P * (-1.0) ** (abs(k) % 2)
         return P * np.exp(1j * k * lam)
@@ -40,11 +77,12 @@ def shell_partial_sums(coeffs, points, degrees):
     """Oracle: the series added coefficient by coefficient into per-degree shells."""
     p = np.asarray(points, dtype=float)
     z = np.clip(p[..., 2], -1.0, 1.0)
+    r = np.hypot(p[..., 0], p[..., 1])
     lam = np.arctan2(p[..., 1], p[..., 0])
     h = degrees[-1]
     shells = np.zeros((h + 1,) + p.shape[:-1], dtype=complex)
     for k in range(-h, h + 1):
-        P = legendre_table(h, abs(k), z)
+        P = legendre_table(h, abs(k), z, r)
         if k < 0:
             P = P * (-1.0) ** (abs(k) % 2)
         phase = np.exp(1j * k * lam)
@@ -59,7 +97,7 @@ def per_order_analysis(grid, h):
     ghat = np.fft.fft(grid.values, axis=1) * (2.0 * np.pi / grid.n_lambda)
     values = np.zeros((h + 1, 2 * h + 1), dtype=complex)
     for k in range(-h, h + 1):
-        P = legendre_table(h, abs(k), np.cos(grid.thetas))
+        P = legendre_table(h, abs(k), np.cos(grid.thetas), np.sin(grid.thetas))
         if k < 0:
             P = (-1.0) ** k * P
         values[abs(k):, k + h] = P @ (w * ghat[:, k % grid.n_lambda] * (-1.0) ** (k % 2))
@@ -78,17 +116,22 @@ def random_triangle(h, seed):
 
 class TestAssocLegendre:
     def test_constant_is_inverse_sqrt_4pi(self):
-        assert_allclose(legendre_table(0, 0, 0.37)[-1], 1.0 / np.sqrt(4 * np.pi), atol=1e-15)
+        (P,) = _legendre_orders(0, cos_phases([0.37]))
+        assert_allclose(P[-1], 1.0 / np.sqrt(4 * np.pi), atol=1e-15)
 
     def test_degree_one(self):
         t = np.linspace(-1, 1, 11)
-        assert_allclose(legendre_table(1, 0, t)[-1], np.sqrt(3 / (4 * np.pi)) * t, atol=1e-14)
+        P0, P1 = _legendre_orders(1, cos_phases(t))
+        assert_allclose(P0[-1], np.sqrt(3 / (4 * np.pi)) * t, atol=1e-14)
+        # Pbar_1^1 = -sqrt(3 / 8 pi) sin theta, the sine read from the phases
+        assert_allclose(P1[-1], -np.sqrt(3 / (8 * np.pi)) * np.sqrt(1 - t * t), atol=1e-14)
 
     def test_orthonormality_via_gauss_legendre(self):
         # oracle: Gauss-Legendre quadrature, exact for these polynomial products
         x, w = np.polynomial.legendre.leggauss(80)
+        tables = list(_legendre_orders(32, cos_phases(x)))
         for k in (0, 1, 3, 7):
-            P = legendre_table(32, k, x)
+            P = tables[k]
             G = 2 * np.pi * (P * w) @ P.T
             assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-10
 
@@ -100,13 +143,17 @@ class TestAssocLegendre:
         t = np.linspace(-0.95, 0.95, 9)
         for n, k in [(2, 1), (5, 3), (9, 0), (12, 7)]:
             norm = np.sqrt((2 * n + 1) / (4 * np.pi) * factorial(n - k) / factorial(n + k))
-            assert_allclose(legendre_table(n, k, t)[-1], norm * lpmv(k, n, t), rtol=1e-12)
+            assert_allclose(list(_legendre_orders(n, cos_phases(t)))[k][-1], norm * lpmv(k, n, t), rtol=1e-12)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="order"):
-            legendre_table(2, 3, 0.0)
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            legendre_table(2, 1, 1.5)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 40), st.lists(st.floats(-1.0, 1.0), max_size=12))
+    def test_sweep_matches_per_order_oracle(self, h, t):
+        # with the oracle's own sine, every order's table equals the oracle's bit for bit
+        t = np.array(t + [-1.0, -0.0, 0.0, 1.0])
+        tables = list(_legendre_orders(h, cos_phases(t)))
+        assert len(tables) == h + 1
+        for k, P in enumerate(tables):
+            assert P.tobytes() == legendre_table(h, k, t).tobytes()
 
 
 def test_clenshaw_curtis_integrates_polynomials():
@@ -132,14 +179,9 @@ class TestAnalyze:
         vals[3, 2 + co.degree] = 0.0
         assert np.max(np.abs(vals)) < 1e-10
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 8), st.data(), st.integers(0, 2**32 - 1))
-    def test_random_polynomial_reproduced_at_random_sizes(self, h, data, seed):
-        # the docstring's claim: a polynomial of degree <= h in x, y, z comes
-        # back from sh_analyze at h on grids of at least 2h + 2 points per side
-        d = data.draw(st.integers(0, h))
-        n_lambda = 2 * data.draw(st.integers(h + 1, h + 8))
-        nth = data.draw(st.integers(2 * h + 2, 2 * h + 16))
+    @staticmethod
+    def polynomial_round_trip_error(h, d, n_lambda, nth, seed):
+        """Max error of a random degree-d polynomial through sh_analyze at h and back, relative to the samples."""
         rng = np.random.default_rng(seed)
         powers = np.arange(d + 1)
         c = rng.normal(size=(d + 1,) * 3)
@@ -149,7 +191,22 @@ class TestAnalyze:
         lam, theta = rng.uniform(-np.pi, np.pi, size=20), rng.uniform(0.0, np.pi, size=15)
         got = sh_synthesize(sh_analyze(grid, h), lam, theta, [h])[0]
         want = f(dfs_coord(lam[None, :], theta[:, None]))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(grid.values))
+        return np.max(np.abs(got - want)) / np.max(np.abs(grid.values))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 8), st.data(), st.integers(0, 2**32 - 1))
+    def test_random_polynomial_reproduced_at_random_sizes(self, h, data, seed):
+        # the docstring's claim: a polynomial of degree <= h in x, y, z comes
+        # back from sh_analyze at h on grids of at least 2h + 2 points per side
+        d = data.draw(st.integers(0, h))
+        n_lambda = 2 * data.draw(st.integers(h + 1, h + 8))
+        nth = data.draw(st.integers(2 * h + 2, 2 * h + 16))
+        assert self.polynomial_round_trip_error(h, d, n_lambda, nth, seed) <= 1e-12
+
+    def test_polynomial_reproduced_near_a_pole(self):
+        # seed 91 draws a colatitude 1.6e-5 from the south pole, where a sine
+        # rebuilt as sqrt(1 - cos^2) read 2.17e-12 against this bound
+        assert self.polynomial_round_trip_error(1, 1, 4, 4, 91) <= 1e-12
 
     def test_constant(self):
         one = lambda p: np.ones(np.asarray(p).shape[:-1])
@@ -335,6 +392,13 @@ class TestEvaluate:
         assert np.all(sh_partial_sums(co, points, [0]) == constant)
         with pytest.raises(ValueError, match="1-d"):
             sh_synthesize(co, lam, theta[:, None], [0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_synthesize_rejects_non_finite_colatitude(self, bad):
+        # a NaN or infinite colatitude used to give NaN sums, with no error
+        co = random_triangle(3, 2)
+        with pytest.raises(ValueError, match="finite"):
+            sh_synthesize(co, [0.0, 1.0], [0.5, bad], [3])
 
     def test_slice_boundary_cuts_the_points(self):
         # at h = 12 and three degrees a slice holds 2^21 // (3 * 25) = 27962
