@@ -12,7 +12,9 @@ the equispaced-in-theta rows of a lat-lon grid are exactly the Chebyshev
 (cosine-spaced) nodes in t = cos(theta). Analysis and synthesis serve the
 orders k and -k with one Legendre table and one product, Pbar_n^-k =
 (-1)^k Pbar_n^k being a sign on a column. Synthesis contracts the colatitude
-table so built with a table of phases exp(i k lambda) over k.
+table so built with a table of phases exp(i k lambda) over k: on a grid by
+one matrix product, at scattered points by the point kernel of the folded
+series, ``spectral._point_sum``, which owns the slices and their budget.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _unit_phases
-from .spectral import _angle_phases, _check_degrees, _phases
+from .spectral import _angle_phases, _check_degrees, _phases, _point_sum
 
 __all__ = [
     "SHCoefficients",
@@ -187,20 +189,10 @@ def sh_synthesize(coeffs, lam, theta, degrees):
 def sh_partial_sums(coeffs, points, degrees):
     """Truncations at each requested degree (ascending) at sphere points, shape (..., 3).
 
-    The points' unit phases give exp(i lam) and the Legendre sweep's exp(i theta).
-    Points go in slices whose colatitude table holds at most 2^21 entries; one
-    ``einsum`` contracts it with the slice's phases. Returns shape
-    (len(degrees),) + points.shape[:-1].
+    :func:`spectral._point_sum` of :func:`_colatitude_table` over the orders
+    k = -h .. h, h the largest degree, at the points' unit phases exp(i lam)
+    and exp(i theta). Returns shape (len(degrees),) + points.shape[:-1].
     """
     keep = _truncation_mask(coeffs, degrees)
-    h = len(keep) - 1
-    w_lam, w_theta = _unit_phases(points)
-    shape = w_lam.shape
-    w_lam, w_theta = w_lam.ravel(), w_theta.ravel()
-    out = np.empty((keep.shape[1], w_lam.size), dtype=complex)
-    step = max(1, 2**21 // (keep.shape[1] * (2 * h + 1)))
-    for s in range(0, w_lam.size, step):
-        # no name holds a slice's tables, so they are freed before the next slice builds its own
-        np.einsum("kpd,kp->dp", _colatitude_table(coeffs, keep, w_theta[s : s + step]),
-                  _phases(w_lam[s : s + step], np.arange(-h, h + 1)), out=out[:, s : s + step])
-    return out.reshape(out.shape[:1] + shape)
+    return _point_sum(np.arange(1 - len(keep), len(keep)), lambda w: _colatitude_table(coeffs, keep, w),
+                      *_unit_phases(points), lead=keep.shape[1:])

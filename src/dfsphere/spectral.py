@@ -85,11 +85,14 @@ class CoefficientTable:
     carries a private mark, so that the partial sums take only its n1 >= 0
     columns (see :func:`_truncated_block`). The mark is no constructor
     argument: a table built by hand, read from a file or unfolded never
-    carries it, and its sums use every column.
+    carries it, and its sums use every column. The mark holds the marked
+    array itself, made read-only, so that edited values cannot keep it: an
+    edit in place raises ValueError, and other or writeable values (as after
+    a deep copy) are unmarked. Edit ``CoefficientTable(t.values.copy())``.
     """
 
     values: np.ndarray
-    _real_bmc: bool = field(default=False, init=False, repr=False, compare=False)
+    _marked_values: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=complex)
@@ -98,6 +101,11 @@ class CoefficientTable:
         n2, n1 = self.values.shape
         if n1 % 2 or n2 % 2:
             raise ValueError(f"coefficient table dimensions must be even, got {n2} x {n1}")
+
+    @property
+    def _real_bmc(self):
+        """Whether the table holds the very values that :func:`compute_coefficients` marked, still read-only."""
+        return self.values is self._marked_values and not self.values.flags.writeable
 
     @property
     def n1_values(self):
@@ -253,7 +261,9 @@ def compute_coefficients(grid):
     table = CoefficientTable(_real_coefficients(grid.values.real))
     if not real:
         table.values += 1j * _real_coefficients(grid.values.imag)
-    table._real_bmc = real and bmc
+    if real and bmc:  # read-only, so that edited values cannot keep the mark
+        table.values.flags.writeable = False
+        table._marked_values = table.values
     return table
 
 
@@ -326,27 +336,42 @@ def _phases(w, n):
     return out
 
 
+def _point_sum(n1, colatitude, w_lam, w_theta, lead=(), built=0):
+    """sum_k C[k, p, ...] w_lam[p]**n1[k] at the points p of the unit phases w_lam = exp(i lam), w_theta = exp(i theta).
+
+    The point kernel of both expansions, Fourier series in lam whose order
+    n1[k] coefficient is a function of theta: ``colatitude`` maps a slice of
+    w_theta to its table C of them, shape (len(n1), P) + ``lead``. Points go
+    in slices of at most 2^21 complex entries, counted over C, the phases of
+    w_lam and the ``built`` entries per point that ``colatitude`` holds
+    besides C. Returns shape ``lead`` + the points' shape, or a complex when
+    both are empty.
+    """
+    shape = np.broadcast(w_lam, w_theta).shape
+    w_lam, w_theta = (np.broadcast_to(w, shape).ravel() for w in (w_lam, w_theta))
+    out = np.empty(lead + w_lam.shape, dtype=complex)
+    step = max(1, 2**21 // (len(n1) * (np.prod(lead, dtype=int) + 1) + built))
+    for s in range(0, w_lam.size, step):
+        # no name holds a slice's tables, so they are freed before the next slice builds its own
+        np.einsum("kp...,kp->...p", colatitude(w_theta[s : s + step]), _phases(w_lam[s : s + step], n1),
+                  out=out[..., s : s + step])
+    return out.reshape(lead + shape) if lead + shape else complex(out[0])
+
+
 def _separable_sum(n1, n2, block, real, w_lam, w_theta):
     """sum_{j,k} block[j, k] w_lam**n1[k] w_theta**n2[j] at unit phases w_lam = exp(i lam), w_theta = exp(i theta).
 
     Each term factors as exp(i n1 lam) exp(i n2 theta), so the sum is
-    sum_k (block.T @ E_theta)[k, p] E_lam[k, p] over two (k, p) tables of
-    :func:`_phases`. With ``real`` set (see :func:`_truncated_block`) the
-    n1 > 0 columns are weighted by 2 and only the real part is kept, as a
-    complex value with imaginary part 0.
-    Points go in slices of at most 2^21 table entries, below about 70 MiB.
+    :func:`_point_sum` of the colatitude table block.T @ E_theta, E_theta
+    the (len(n2), p) :func:`_phases` of w_theta. With ``real`` set (see
+    :func:`_truncated_block`) the n1 > 0 columns are weighted by 2 and only
+    the real part is kept, as a complex value with imaginary part 0.
     """
-    shape = np.broadcast(w_lam, w_theta).shape
-    w_lam, w_theta = (np.broadcast_to(w, shape).ravel() for w in (w_lam, w_theta))
-    out = np.empty(w_lam.size, dtype=complex)
     if real:  # Re(.) of each n1 > 0 column stands for it and its conjugate column -n1
         block = np.where(n1 > 0, 2.0, 1.0) * block
-    step = max(1, 2**21 // (len(n1) + len(n2)))
-    for s in range(0, out.size, step):
-        e_theta = block.T @ _phases(w_theta[s : s + step], n2)
-        terms = np.einsum("kp,kp->p", e_theta, _phases(w_lam[s : s + step], n1))
-        out[s : s + step] = terms.real if real else terms
-    return out.reshape(shape) if shape else complex(out[0])
+    sums = _point_sum(n1, lambda w: block.T @ _phases(w, n2), w_lam, w_theta, built=len(n2))
+    # the kernel's einsum sums from +0, so no real part is -0 and adding 0j keeps every bit
+    return sums.real + 0j if real else sums
 
 
 def partial_sum_torus(table, omega, lam, theta):

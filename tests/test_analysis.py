@@ -288,11 +288,12 @@ class TestDecayReport:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_table(self, bad):
-        table = coefficient_table_for(combo(), 64)
+        # a marked table's values are read-only: edit an unmarked copy
+        table = CoefficientTable(coefficient_table_for(combo(), 64).values.copy())
         table.values[:] = bad
         with pytest.raises(ValueError, match="non-finite"):
             decay_report(table, 3, 0.9, r_min=1, r_max=16)
-        table = coefficient_table_for(combo(), 64)
+        table = CoefficientTable(coefficient_table_for(combo(), 64).values.copy())
         table.values[40, 30] = bad
         with pytest.raises(ValueError, match="non-finite"):
             decay_report(table, 3, 0.9, r_min=1, r_max=16)

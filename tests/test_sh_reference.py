@@ -401,7 +401,7 @@ class TestEvaluate:
             sh_synthesize(co, [0.0, 1.0], [0.5, bad], [3])
 
     def test_slice_boundary_cuts_the_points(self):
-        # at h = 12 and three degrees a slice holds 2^21 // (3 * 25) = 27962
+        # at h = 12 and three degrees a slice holds 2^21 // (25 * (3 + 1)) = 20971
         # points, so these 30000 go in two slices
         co = random_triangle(12, 4)
         p = self.sphere_points(30000, seed=12)
@@ -410,8 +410,9 @@ class TestEvaluate:
 
     def test_grid_and_points_in_bounded_memory(self):
         # h = 24 at the 512 x 257 grid: given as its 131584 points, A goes in
-        # slices of 14266 points (unsliced, it alone would take 310 MB); given
-        # as longitudes and colatitudes, A spans the 257 colatitudes only
+        # slices of 2^21 // (49 * (3 + 1)) = 10699 points (unsliced, it alone
+        # would take 310 MB); given as longitudes and colatitudes, A spans the
+        # 257 colatitudes only
         co = random_triangle(24, 5)
         lam = -np.pi + np.pi * np.arange(512) / 256
         theta = np.pi * np.arange(257) / 256

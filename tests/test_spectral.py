@@ -1,4 +1,6 @@
+import copy
 from functools import partial
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -28,8 +30,8 @@ from dfsphere.spectral import (
     quadrature_rule,
     unfold_coefficients,
 )
-from dfsphere.analysis import truncations
-from dfsphere.sh_reference import SHCoefficients, sh_partial_sums
+from dfsphere.analysis import coefficient_table_for, truncations
+from dfsphere.sh_reference import SHCoefficients, _colatitude_table, _truncation_mask, sh_partial_sums
 from dfsphere.spectral import _angle_phases, _colatitude_factor, _grid_sum, _phases, _truncated_block
 from dfsphere.testfns import spherical_function, standard_combination
 
@@ -430,8 +432,9 @@ class TestPartialSums:
         assert type(value) is complex
 
     def test_many_points_match_grid_path_in_bounded_memory(self):
-        # 480^2 points at degree 8 span four slices of the direct path; whole,
-        # its three 230400 x 17 complex tables alone would take 188 MB
+        # 480^2 points at degree 8 span six slices of 2^21 // (2 * 17 + 17) =
+        # 41120 points of the direct path; whole, its three 230400 x 17
+        # complex tables alone would take 188 MB
         rng = np.random.default_rng(48)
         table = CoefficientTable(rng.normal(size=(18, 18)) + 1j * rng.normal(size=(18, 18)))
         omega = SpectralSet("rectangle", 8)
@@ -864,6 +867,46 @@ def full_grid_sum(table, omega, n_theta, n_lambda, rows):
     return np.fft.ifft(spec, axis=1, norm="forward")
 
 
+def sliced_separable_sum(n1, n2, block, real, w_lam, w_theta):
+    """The separable sum as its own slice loop once took it: 2^21 // (len(n1) + len(n2)) points per slice."""
+    shape = np.broadcast(w_lam, w_theta).shape
+    w_lam, w_theta = (np.broadcast_to(w, shape).ravel() for w in (w_lam, w_theta))
+    out = np.empty(w_lam.size, dtype=complex)
+    if real:
+        block = np.where(n1 > 0, 2.0, 1.0) * block
+    step = max(1, 2**21 // (len(n1) + len(n2)))
+    for s in range(0, out.size, step):
+        e_theta = block.T @ _phases(w_theta[s : s + step], n2)
+        terms = np.einsum("kp,kp->p", e_theta, _phases(w_lam[s : s + step], n1))
+        out[s : s + step] = terms.real if real else terms
+    return out.reshape(shape) if shape else complex(out[0])
+
+
+def sliced_sh_partial_sums(coeffs, points, degrees):
+    """sh_partial_sums as its own slice loop once took it: 2^21 // (len(degrees) (2h + 1)) points per slice."""
+    keep = _truncation_mask(coeffs, degrees)
+    h = len(keep) - 1
+    w_lam, w_theta = _unit_phases(points)
+    shape = w_lam.shape
+    w_lam, w_theta = w_lam.ravel(), w_theta.ravel()
+    out = np.empty((keep.shape[1], w_lam.size), dtype=complex)
+    step = max(1, 2**21 // (keep.shape[1] * (2 * h + 1)))
+    for s in range(0, w_lam.size, step):
+        np.einsum("kpd,kp->dp", _colatitude_table(coeffs, keep, w_theta[s : s + step]),
+                  _phases(w_lam[s : s + step], np.arange(-h, h + 1)), out=out[:, s : s + step])
+    return out.reshape(out.shape[:1] + shape)
+
+
+@st.composite
+def point_arrays(draw):
+    """Unit sphere points of shape (3,), (n, 3) or (a, b, 3), with 0, 1 or a few hundred points."""
+    count = st.sampled_from([0, 1]) | st.integers(100, 400)
+    shape = draw(st.just(()) | st.tuples(count) | st.tuples(st.sampled_from([0, 1]) | st.integers(10, 20),
+                                                         st.sampled_from([0, 1]) | st.integers(10, 20)))
+    points = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape + (3,))
+    return points / np.linalg.norm(points, axis=-1, keepdims=True)
+
+
 @st.composite
 def sums_of(draw, tables):
     """A table, a set within its range, unit sphere points and an even torus grid that holds the block."""
@@ -978,12 +1021,59 @@ class TestRealHalfPath:
         for total in sums:
             assert np.array_equal(total(real), total(cast))
 
+    def test_marked_values_are_read_only_and_new_values_drop_the_mark(self):
+        # an edit must not keep the mark, or the sums would read only the n1 >= 0
+        # columns and drop the imaginary part: [-1.808, -1.598] here
+        table = coefficient_table_for(combo(), 64)
+        edited = table.values.copy()
+        edited[35, 34] += 1.0  # c_(2, 3)
+        omega, lam, theta = SpectralSet("rectangle", 8), [0.3, 1.1], [0.7, -2.0]
+        want = partial_sum_torus(CoefficientTable(edited), omega, lam, theta)
+        assert_allclose(want, [-0.904 + 0.427j, -0.807 + 0.612j], atol=1e-3)
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[35, 34] += 1.0
+        assert table._real_bmc
+        # a deep copy or a pickled copy holds writeable values, which an edit could change
+        for copied in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert copied.values.flags.writeable and not copied._real_bmc
+        table.values = edited
+        assert not table._real_bmc
+        assert np.array_equal(partial_sum_torus(table, omega, lam, theta), want)
+
     def test_marked_scalar_is_a_complex_with_zero_imaginary_part(self):
         table = cos_theta_table(16)
         value = partial_sum_torus(table, SpectralSet("rectangle", 2), 0.3, 1.1)
         assert type(value) is complex and value.imag == 0.0
         value = dfs_fourier_sum(table, SpectralSet("rectangle", 2, half=True), dfs_coord(0.3, 1.1))
         assert type(value) is complex and value.imag == 0.0
+
+
+class TestPointKernel:
+    """Both expansions' point sums go through one sliced kernel; inside one slice they are the slice loops' bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(doubled_tables(), random_tables()), point_arrays(), st.integers(0, 12),
+           st.lists(st.integers(0, 12), min_size=1, max_size=4), st.integers(0, 2**32 - 1), st.data())
+    def test_point_sums_match_the_slice_loops(self, table, points, h, degrees, seed, data):
+        kind = data.draw(st.sampled_from(["rectangle", "l1", "l2"]))
+        shape, norm = ("rectangle", "l2") if kind == "rectangle" else ("ball", kind)
+        half = SpectralSet(shape, data.draw(st.integers(0, table.max_degree)), norm, half=True)
+        full = half.symmetrized()
+        lam, theta = dfs_coord_inverse(points)
+        pairs = [
+            (dfs_fourier_sum(table, half, points), sliced_separable_sum(*_truncated_block(table, half), *_unit_phases(points))),
+            (partial_sum_torus(table, full, lam, theta),
+             sliced_separable_sum(*_truncated_block(table, full), _angle_phases(lam), _angle_phases(theta))),
+        ]
+        rng = np.random.default_rng(seed)
+        coeffs = SHCoefficients(h, rng.normal(size=(h + 1, 2 * h + 1)) + 1j * rng.normal(size=(h + 1, 2 * h + 1)))
+        degrees = sorted(min(d, h) for d in degrees)
+        pairs.append((sh_partial_sums(coeffs, points, degrees), sliced_sh_partial_sums(coeffs, points, degrees)))
+        for got, want in pairs:
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.shape(pairs[-1][0]) == (len(degrees),) + points.shape[:-1]
+        assert (type(pairs[0][0]) is complex) == (points.shape == (3,))
 
 
 class TestFold:
@@ -1048,7 +1138,7 @@ class TestFold:
         assert np.array_equal(unfold_coefficients(fold_coefficients(symmetrized)).values, symmetrized.values)
 
     def test_nan_entry_propagates_and_fold_raises(self):
-        table = cos_theta_table(16)
+        table = CoefficientTable(cos_theta_table(16).values.copy())  # an unmarked copy, as marked values are read-only
         table.values[3, 5] = np.nan
         assert np.isnan(table.symmetry_violation())
         assert np.isnan(table.conjugate_symmetry_violation())
@@ -1261,7 +1351,7 @@ class TestCoeffIO:
 
     @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
     def test_rejects_non_finite_payload(self, tmp_path, bad):
-        table = cos_theta_table(16)
+        table = CoefficientTable(cos_theta_table(16).values.copy())  # an unmarked copy, as marked values are read-only
         table.values[2, 3] = bad
         path = tmp_path / "n.dfsc"
         coeff_io_write(table, path)
