@@ -215,19 +215,38 @@ class SpectralSet:
         return SpectralSet(self.shape, self.degree, self.norm, half=False)
 
 
-def _real_coefficients(x):
+def _real_coefficients(x, glide=False):
     """Centered coefficient table of a real grid ``x`` sampled from (-pi, -pi).
 
     Rolling the origin to (0, 0) takes the factor (-1)^{n1+n2} out of the
     transform; the n1 < 0 columns follow from c_{-n} = conj(c_n). The
     transform is an ``rfft`` along lambda, then an ``fft`` along theta in
-    place, so the strided theta pass writes no fresh array; the result is
-    ``rfft2``'s bit for bit, as ``rfft2`` takes the same two passes.
+    place, so the strided theta pass writes no fresh array.
+
+    Without ``glide`` the lambda pass reads a rolled copy of ``x``, and the
+    result is ``rfft2``'s bit for bit, as ``rfft2`` takes the same two passes.
+    With ``glide`` set, ``x`` must be exactly BMC (:attr:`TorusGrid.bmc`):
+    each row theta in (-pi, 0) is its mirror row -theta turned by half a
+    revolution. Only the N2/2 + 1 rows theta in [0, pi] and theta = -pi are
+    then transformed along lambda, each straight into its theta-rolled row
+    of the half spectrum. The other rows are copied from their mirrors, and
+    then the odd-n1 columns of the transformed rows are negated in place:
+    that negation stands in for the lambda roll, which the copies, turned by
+    half a revolution already, do not need. No copy of ``x`` is made; the
+    table is ``rfft2``'s bit for bit on power-of-two sides and agrees to
+    rounding otherwise.
     """
     N2, N1 = x.shape
     h2, h1 = N2 // 2, N1 // 2
     # rows n2 mod N2, columns n1 = 0 .. N1/2; norm="forward" divides by N1 N2 inside the transform
-    half = np.fft.rfft(np.roll(x, (h2, h1), axis=(0, 1)), axis=1, norm="forward")
+    if glide:
+        half = np.empty((N2, h1 + 1), dtype=complex)
+        np.fft.rfft(x[h2:], axis=1, norm="forward", out=half[:h2])
+        np.fft.rfft(x[0], norm="forward", out=half[h2])
+        half[h2 + 1 :] = half[h2 - 1 : 0 : -1]
+        _negate_odd_columns(half[: h2 + 1], 0)
+    else:
+        half = np.fft.rfft(np.roll(x, (h2, h1), axis=(0, 1)), axis=1, norm="forward")
     np.fft.fft(half, axis=0, norm="forward", out=half)
     table = np.empty((N2, N1), dtype=complex)
     table[h2:, h1:] = half[:h2, :h1]
@@ -245,7 +264,14 @@ def compute_coefficients(grid):
     imaginary part. A grid is real when it has no nonzero imaginary part,
     whatever its dtype, so a real grid and its complex cast give the same
     table, mark included. The table is not symmetrized, so a BMC violation of
-    the grid shows in it.
+    the grid shows in it. The imaginary part's table is scaled by i in place
+    before it is added, so a complex grid makes no third table.
+
+    A BMC grid is transformed from its glide-distinct rows alone (see
+    :func:`_real_coefficients`): the rows theta in (-pi, 0) are copies of
+    their mirrors turned by half a revolution, so the table is made without
+    a rolled copy of the grid or a lambda pass over those rows. Any other
+    grid takes the rolled ``rfft2`` route.
 
     The table of a real grid that is BMC (:attr:`TorusGrid.bmc`, read from
     the values) is marked as such: its coefficients satisfy c_{-n} =
@@ -258,9 +284,11 @@ def compute_coefficients(grid):
     if not (bmc or np.all(np.isfinite(grid.values))):
         raise ValueError("torus grid holds non-finite samples")
     real = np.isrealobj(grid.values) or not np.any(grid.values.imag)
-    table = CoefficientTable(_real_coefficients(grid.values.real))
+    table = CoefficientTable(_real_coefficients(grid.values.real, bmc))
     if not real:
-        table.values += 1j * _real_coefficients(grid.values.imag)
+        imag = _real_coefficients(grid.values.imag, bmc)
+        imag *= 1j
+        table.values += imag
     if real and bmc:  # read-only, so that edited values cannot keep the mark
         table.values.flags.writeable = False
         table._marked_values = table.values
@@ -396,8 +424,11 @@ def _grid_sum(table, omega, n_theta, n_lambda, rows):
     spectrum and transformed along lambda, so neither the padded 2-d spectrum
     nor the rows left out are ever formed. A half-domain set gives the folded
     series. A block of n1 >= 0 columns is transformed by ``irfft``, which adds
-    the conjugate columns n1 < 0 itself; the result stays complex, with
-    imaginary part 0. Returns shape (len(rows), n_lambda).
+    the conjugate columns n1 < 0 itself and zero-pads each row up to the
+    lambda Nyquist column; it writes into the real part of the zeroed complex
+    result, whose imaginary part stays 0. Any other block's rows are placed in
+    the result, which is then inverted along lambda in place. So the result
+    is the one array of the output's size. Returns shape (len(rows), n_lambda).
     """
     n1, n2, block, real = _truncated_block(table, omega)
     width = 2 * len(n1) - 1 if real else len(n1)
@@ -412,11 +443,13 @@ def _grid_sum(table, omega, n_theta, n_lambda, rows):
     columns[n2 % n_theta] = block
     # norm="forward" leaves the inverse transforms unscaled, as the sum is
     columns = np.fft.ifft(columns, axis=0, norm="forward", out=columns)[rows]
-    spec = np.zeros((columns.shape[0], n_lambda // 2 + 1 if real else n_lambda), dtype=complex)
-    spec[:, n1 % n_lambda] = columns
-    if real:
-        return np.fft.irfft(spec, n_lambda, axis=1, norm="forward").astype(complex)
-    return np.fft.ifft(spec, axis=1, norm="forward")
+    out = np.zeros((columns.shape[0], n_lambda), dtype=complex)
+    if real:  # columns n1 = 0 .. degree are the lambda spectrum's first ones; irfft zero-pads each row itself
+        np.fft.irfft(columns, n_lambda, axis=1, norm="forward", out=out.real)
+    else:
+        out[:, n1 % n_lambda] = columns
+        np.fft.ifft(out, axis=1, norm="forward", out=out)
+    return out
 
 
 def partial_sum_grid(table, omega, n_theta, n_lambda):

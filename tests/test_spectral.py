@@ -1242,6 +1242,46 @@ class TestInPlaceAndNegatedForms:
             values = values + 1j * rng.normal(size=values.shape)
         assert compute_coefficients(TorusGrid(values)).values.tobytes() == rfft2_coefficients(values).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 48), st.integers(1, 48), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(1, 1, False, 0)
+    @example(100, 64, False, 0)
+    @example(48, 50, True, 0)
+    def test_glide_rows_give_the_rfft2_table(self, half_lambda, nth, is_complex, seed):
+        # a doubled grid of any even n_lambda and any nth >= 1: only its glide-distinct rows go through the lambda pass
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(nth + 1, 2 * half_lambda))
+        if is_complex:
+            values = values + 1j * rng.normal(size=values.shape)
+        grid = dfs_double(LatLonGrid(values))
+        assert grid.bmc
+        table, want = compute_coefficients(grid), rfft2_coefficients(grid.values)
+        assert np.max(np.abs(table.values - want)) <= 1e-15 * np.max(np.abs(want))
+        assert table._real_bmc is not is_complex
+
+    @pytest.mark.parametrize("n_lambda, nth", [(1024, 512), (512, 256)])
+    def test_glide_rows_give_the_rfft2_table_bit_for_bit_on_power_of_two_sides(self, n_lambda, nth):
+        grid = dfs_double(sample_sphere(combo(), n_lambda, nth))
+        table = compute_coefficients(grid)
+        assert table._real_bmc
+        assert table.values.tobytes() == rfft2_coefficients(grid.values).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+    def test_grid_one_ulp_from_bmc_takes_the_rolled_route(self, half_lambda, nth, is_complex, seed, data):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(nth + 1, 2 * half_lambda))
+        if is_complex:
+            values = values + 1j * rng.normal(size=values.shape)
+        grid = dfs_double(LatLonGrid(values))
+        j, k = data.draw(st.integers(0, 2 * nth - 1)), data.draw(st.integers(0, 2 * half_lambda - 1))
+        real_part = grid.values.real
+        real_part[j, k] = np.nextafter(real_part[j, k], np.inf)
+        assert not grid.bmc
+        table = compute_coefficients(grid)
+        assert table.values.tobytes() == rfft2_coefficients(grid.values).tobytes()
+        assert not table._real_bmc
+
     @settings(max_examples=30, deadline=None)
     @given(sums_of(st.one_of(doubled_tables(), random_tables())), st.data())
     def test_grid_sum_is_the_out_of_place_sum_bit_for_bit(self, drawn, data):
@@ -1283,6 +1323,53 @@ class TestInPlaceAndNegatedForms:
         product = sign_row_unfold(folded)
         assert np.array_equal(got, product) and got.tobytes() != product.tobytes()
         assert same_bits_but_zero_signs(got, product)
+
+
+@pytest.fixture(scope="module")
+def f3_grid_1024():
+    """The doubled 1024^2 torus grid of f3-combo and its marked table."""
+    grid = dfs_double(sample_sphere(combo(), 1024, 512))
+    return grid, compute_coefficients(grid)
+
+
+def traced_peak(call, *args):
+    """The result of call(*args) and the peak of traced memory while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MIB = 2**20
+
+
+class TestTransformMemory:
+    """Peaks of the transforms under tracemalloc: the forward table with its half spectrum, and a grid sum with no lambda spectrum besides its output."""
+
+    def test_forward_transform_holds_the_half_spectrum_and_the_table(self, f3_grid_1024):
+        # the 1024 x 513 complex half spectrum (8 MiB) and the 16 MiB table, held together while the table is filled
+        grid, _ = f3_grid_1024
+        table, peak = traced_peak(compute_coefficients, grid)
+        assert table._real_bmc
+        assert peak <= 24.5 * MIB
+
+    @pytest.mark.parametrize("marked", [True, False])
+    def test_grid_synthesis_holds_little_besides_its_output(self, f3_grid_1024, marked):
+        # the 512 x 512 complex output is 4 MiB; a separate lambda spectrum would add 2 MiB (marked) or 4 MiB
+        _, table = f3_grid_1024
+        if not marked:
+            table = CoefficientTable(table.values.copy())
+        synth, peak = traced_peak(partial_sum_grid, table, SpectralSet("rectangle", 64), 512, 512)
+        assert table._real_bmc is marked
+        assert peak <= synth.values.nbytes + 1.5 * MIB
+
+    def test_real_grid_sum_of_a_marked_table_holds_little_besides_its_output(self, f3_grid_1024):
+        # the folded series on a 512 x 1024 target, by irfft into the real part of the output
+        _, table = f3_grid_1024
+        out, peak = traced_peak(_grid_sum, table, SpectralSet("ball", 100, half=True), 512, 1024, slice(None))
+        assert table._real_bmc and np.all(out.imag == 0.0)
+        assert peak <= out.nbytes + 1.5 * MIB
 
 
 @pytest.fixture(scope="module")
