@@ -245,7 +245,8 @@ def decay_report(table, k, alpha, r_min=1, r_max=None):
     even shells carry only the z-even part of f and odd shells only the
     z-odd part, so the shell maxima are two interleaved sequences.
     """
-    if not np.all(np.isfinite(table.values)):
+    values = table.values  # one read: a half table assembles its values on each
+    if not np.all(np.isfinite(values)):
         raise ValueError("coefficient table holds non-finite values")
     n1 = table.n1_values
     n2 = table.n2_values
@@ -257,13 +258,13 @@ def decay_report(table, k, alpha, r_min=1, r_max=None):
     if not 1 <= r_min <= r_max:
         raise ValueError(f"need 1 <= r_min <= r_max, got r_min={r_min}, r_max={r_max}")
     shell_max = np.zeros(int(radius.max()) + 1)
-    np.maximum.at(shell_max, radius.ravel(), np.abs(table.values).ravel())
+    np.maximum.at(shell_max, radius.ravel(), np.abs(values).ravel())
     radii = np.arange(r_min, r_max + 1)
     maxima = shell_max[radii]
     rescaled = maxima * radii.astype(float) ** (k + alpha)
     # shells below one ulp of the dominant coefficient are rounding noise;
     # when nothing rises above that floor the slope sentinel is -inf
-    floor = np.max(np.abs(table.values)) * np.finfo(float).eps
+    floor = np.max(np.abs(values)) * np.finfo(float).eps
     positive = maxima > floor
     if np.count_nonzero(positive) >= 2:
         slope = float(np.polyfit(np.log(radii[positive]), np.log(maxima[positive]), 1)[0])

@@ -15,7 +15,7 @@ which is what allows the series to be folded onto the half domain Z x N0 and
 pushed down to the sphere.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,56 +74,89 @@ def _check_degrees(degrees):
     return degrees
 
 
-@dataclass
 class CoefficientTable:
     """Centered table of Fourier coefficients.
 
     ``values[j, k]`` is c_(n1, n2) with n2 = j - N2//2 and n1 = k - N1//2, so
     the index ranges are n1 in [-N1/2, N1/2) and n2 in [-N2/2, N2/2).
 
-    A table that :func:`compute_coefficients` made from a real BMC grid
-    carries a private mark, so that the partial sums take only its n1 >= 0
-    columns (see :func:`_truncated_block`). The mark is no constructor
-    argument: a table built by hand, read from a file or unfolded never
-    carries it, and its sums use every column. The mark holds the marked
-    array itself, made read-only, so that edited values cannot keep it: an
-    edit in place raises ValueError, and other or writeable values (as after
-    a deep copy) are unmarked. Edit ``CoefficientTable(t.values.copy())``.
+    ``CoefficientTable(values)`` stores the full array it is given, which
+    stays editable in place. The table that :func:`compute_coefficients`
+    makes of a real BMC grid stores only its half spectrum: the columns
+    n1 = 0 .. N1/2, rows n2 mod N2. The entries n1 < 0 follow from c_{-n} =
+    conj(c_n), and c_n = (-1)^{n1} c_{M(n)} relates rows n2 and -n2 of a
+    column, so the half holds the whole table; the partial sums take only
+    its columns n1 >= 0 (see :func:`_truncated_block`). No constructor
+    argument makes a half table: one built by hand, read from a file or
+    unfolded is full. On a half table ``values`` is the full centered array,
+    assembled on each read and read-only, so an edit in place raises
+    ValueError; assigning ``values`` stores the new array and drops the half.
+    Edit ``CoefficientTable(t.values.copy())``. The partial sums, the
+    symmetry figure and the fold read the half itself.
     """
 
-    values: np.ndarray
-    _marked_values: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, values):
+        self.values = values
 
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=complex)
-        if self.values.ndim != 2:
-            raise ValueError("coefficient table must be a 2-d array")
-        n2, n1 = self.values.shape
-        if n1 % 2 or n2 % 2:
-            raise ValueError(f"coefficient table dimensions must be even, got {n2} x {n1}")
+    @classmethod
+    def _of_half(cls, half):
+        """The table whose half spectrum is ``half`` (see :func:`_half_spectrum`)."""
+        table = cls.__new__(cls)
+        table._values, table._half = None, half
+        return table
 
     @property
-    def _real_bmc(self):
-        """Whether the table holds the very values that :func:`compute_coefficients` marked, still read-only."""
-        return self.values is self._marked_values and not self.values.flags.writeable
+    def values(self):
+        if self._half is None:
+            return self._values
+        full = _centered_table(self._half)
+        full.flags.writeable = False
+        return full
+
+    @values.setter
+    def values(self, values):
+        values = np.ascontiguousarray(values, dtype=complex)
+        if values.ndim != 2:
+            raise ValueError("coefficient table must be a 2-d array")
+        n2, n1 = values.shape
+        if n1 % 2 or n2 % 2:
+            raise ValueError(f"coefficient table dimensions must be even, got {n2} x {n1}")
+        self._values, self._half = values, None
+
+    @property
+    def _shape(self):
+        """(N2, N1), without assembling the values of a half table."""
+        if self._half is None:
+            return self._values.shape
+        return self._half.shape[0], 2 * self._half.shape[1] - 2
+
+    def _stored(self):
+        """The stored array, the row of n2 = 0 in it and the n1 of its first column.
+
+        That is (values, N2/2, -N1/2), or (half, 0, 0) for a half table, whose
+        row n2 mod N2 holds n2.
+        """
+        if self._half is None:
+            return self._values, self._values.shape[0] // 2, -(self._values.shape[1] // 2)
+        return self._half, 0, 0
 
     @property
     def n1_values(self):
-        return _centered(self.values.shape[1])
+        return _centered(self._shape[1])
 
     @property
     def n2_values(self):
-        return _centered(self.values.shape[0])
+        return _centered(self._shape[0])
 
     @property
     def max_degree(self):
         """Largest h such that the full square |n1|, |n2| <= h is stored."""
-        return min(self.values.shape[0] // 2 - 1, self.values.shape[1] // 2 - 1)
+        return min(self._shape[0] // 2 - 1, self._shape[1] // 2 - 1)
 
     def coeff(self, n1, n2):
         """Coefficient c_(n1, n2); indices may be arrays."""
         n1, n2 = np.asarray(n1), np.asarray(n2)
-        N2, N1 = self.values.shape
+        N2, N1 = self._shape
         if np.any(n1 < -(N1 // 2)) or np.any(n1 >= N1 // 2) or np.any(n2 < -(N2 // 2)) or np.any(n2 >= N2 // 2):
             raise ValueError("spectral index outside the table range")
         return self.values[n2 + N2 // 2, n1 + N1 // 2]
@@ -135,14 +168,15 @@ class CoefficientTable:
         pairs with itself; the relative scale is global because individual
         coefficients may be exactly zero. Non-finite entries give NaN.
         """
-        return _mirror_residual(self.values)[1]
+        return _mirror_residual(self)[1]
 
     def conjugate_symmetry_violation(self):
         """Max |c_{-n} - conj(c_n)| relative to the largest coefficient."""
+        values = self.values
         # row j holds n2 = j - N2/2 and -n2 sits at row -j mod N2; likewise for columns
-        reflected = np.roll(self.values[::-1, ::-1], 1, axis=(0, 1))
-        resid = np.abs(reflected - np.conj(self.values))
-        scale = np.max(np.abs(self.values))
+        reflected = np.roll(values[::-1, ::-1], 1, axis=(0, 1))
+        resid = np.abs(reflected - np.conj(values))
+        scale = np.max(np.abs(values))
         return 0.0 if scale == 0 else float(np.max(resid) / scale)
 
 
@@ -215,40 +249,14 @@ class SpectralSet:
         return SpectralSet(self.shape, self.degree, self.norm, half=False)
 
 
-def _real_coefficients(x, glide=False):
-    """Centered coefficient table of a real grid ``x`` sampled from (-pi, -pi).
+def _centered_table(half):
+    """The centered (N2, N1) table of a half spectrum: rows n2 mod N2, columns n1 = 0 .. N1/2.
 
-    Rolling the origin to (0, 0) takes the factor (-1)^{n1+n2} out of the
-    transform; the n1 < 0 columns follow from c_{-n} = conj(c_n). The
-    transform is an ``rfft`` along lambda, then an ``fft`` along theta in
-    place, so the strided theta pass writes no fresh array.
-
-    Without ``glide`` the lambda pass reads a rolled copy of ``x``, and the
-    result is ``rfft2``'s bit for bit, as ``rfft2`` takes the same two passes.
-    With ``glide`` set, ``x`` must be exactly BMC (:attr:`TorusGrid.bmc`):
-    each row theta in (-pi, 0) is its mirror row -theta turned by half a
-    revolution. Only the N2/2 + 1 rows theta in [0, pi] and theta = -pi are
-    then transformed along lambda, each straight into its theta-rolled row
-    of the half spectrum. The other rows are copied from their mirrors, and
-    then the odd-n1 columns of the transformed rows are negated in place:
-    that negation stands in for the lambda roll, which the copies, turned by
-    half a revolution already, do not need. No copy of ``x`` is made; the
-    table is ``rfft2``'s bit for bit on power-of-two sides and agrees to
-    rounding otherwise.
+    The n1 < 0 columns follow from c_{-n} = conj(c_n).
     """
-    N2, N1 = x.shape
-    h2, h1 = N2 // 2, N1 // 2
-    # rows n2 mod N2, columns n1 = 0 .. N1/2; norm="forward" divides by N1 N2 inside the transform
-    if glide:
-        half = np.empty((N2, h1 + 1), dtype=complex)
-        np.fft.rfft(x[h2:], axis=1, norm="forward", out=half[:h2])
-        np.fft.rfft(x[0], norm="forward", out=half[h2])
-        half[h2 + 1 :] = half[h2 - 1 : 0 : -1]
-        _negate_odd_columns(half[: h2 + 1], 0)
-    else:
-        half = np.fft.rfft(np.roll(x, (h2, h1), axis=(0, 1)), axis=1, norm="forward")
-    np.fft.fft(half, axis=0, norm="forward", out=half)
-    table = np.empty((N2, N1), dtype=complex)
+    N2, h1 = half.shape[0], half.shape[1] - 1
+    h2 = N2 // 2
+    table = np.empty((N2, 2 * h1), dtype=half.dtype)
     table[h2:, h1:] = half[:h2, :h1]
     table[:h2, h1:] = half[h2:, :h1]
     np.conjugate(half[h2::-1, h1:0:-1], out=table[: h2 + 1, :h1])
@@ -256,42 +264,80 @@ def _real_coefficients(x, glide=False):
     return table
 
 
+def _real_coefficients(x):
+    """Centered coefficient table of a real grid ``x`` sampled from (-pi, -pi), ``rfft2``'s bit for bit.
+
+    Rolling the origin to (0, 0) takes the factor (-1)^{n1+n2} out of the
+    transform. The transform is an ``rfft`` along lambda of a rolled copy of
+    ``x``, then an ``fft`` along theta in place, the two passes of ``rfft2``.
+    """
+    N2, N1 = x.shape
+    # rows n2 mod N2, columns n1 = 0 .. N1/2; norm="forward" divides by N1 N2 inside the transform
+    half = np.fft.rfft(np.roll(x, (N2 // 2, N1 // 2), axis=(0, 1)), axis=1, norm="forward")
+    np.fft.fft(half, axis=0, norm="forward", out=half)
+    return _centered_table(half)
+
+
+def _half_spectrum(x):
+    """Half spectrum of a real, exactly BMC torus grid ``x`` (:attr:`TorusGrid.bmc`) sampled from (-pi, -pi).
+
+    Each row theta in (-pi, 0) of ``x`` is its mirror row -theta turned by
+    half a revolution, which is the factor (-1)^{n1} in the lambda spectrum.
+    So only the N2/2 + 1 rows theta in [0, pi) and theta = -pi go through the
+    lambda ``rfft``, each straight into its theta-rolled row; the two
+    self-paired rows theta = 0 and -pi go through one call. The other rows
+    are copied from their mirrors, and then the odd-n1 columns of the
+    transformed rows are negated in place: that negation stands in for the
+    lambda roll, which the copies, turned already, do not need. The theta
+    ``fft`` runs in place, and no copy of ``x`` is made beyond those two
+    rows. Returns the
+    (N2, N1/2 + 1) half of the centered table (rows n2 mod N2, columns
+    n1 = 0 .. N1/2), that of ``rfft2`` bit for bit on power-of-two sides and
+    to rounding otherwise.
+    """
+    N2, N1 = x.shape
+    h2, h1 = N2 // 2, N1 // 2
+    half = np.empty((N2, h1 + 1), dtype=complex)
+    np.fft.rfft(x[h2 + 1 :], axis=1, norm="forward", out=half[1:h2])
+    np.fft.rfft(x[[h2, 0]], axis=1, norm="forward", out=half[::h2])  # theta = 0 and -pi, rolled to rows 0 and N2/2
+    half[h2 + 1 :] = half[h2 - 1 : 0 : -1]
+    _negate_odd_columns(half[: h2 + 1], 0)
+    np.fft.fft(half, axis=0, norm="forward", out=half)
+    return half
+
+
 def compute_coefficients(grid):
     """Fourier coefficients of a torus grid under the integral convention.
 
-    A full 2-d transform of the grid by real-input FFTs: the transform of its
-    real part plus, when its imaginary part is nonzero, i times that of its
-    imaginary part. A grid is real when it has no nonzero imaginary part,
-    whatever its dtype, so a real grid and its complex cast give the same
-    table, mark included. The table is not symmetrized, so a BMC violation of
-    the grid shows in it. The imaginary part's table is scaled by i in place
-    before it is added, so a complex grid makes no third table.
-
-    A BMC grid is transformed from its glide-distinct rows alone (see
-    :func:`_real_coefficients`): the rows theta in (-pi, 0) are copies of
-    their mirrors turned by half a revolution, so the table is made without
-    a rolled copy of the grid or a lambda pass over those rows. Any other
-    grid takes the rolled ``rfft2`` route.
+    A full 2-d transform of the grid by real-input FFTs. A grid is real when
+    it has no nonzero imaginary part, whatever its dtype, so a real grid and
+    its complex cast give the same table.
 
     The table of a real grid that is BMC (:attr:`TorusGrid.bmc`, read from
-    the values) is marked as such: its coefficients satisfy c_{-n} =
-    conj(c_n) and c_n = (-1)^{n1} c_{M(n)}, so every partial sum of it is
-    real and the sums read only the n1 >= 0 columns. The values are the same
-    as without the mark. A grid holding a non-finite sample raises
-    ValueError.
+    the values) stores only its half spectrum (see :class:`CoefficientTable`),
+    made by :func:`_half_spectrum` from the glide-distinct rows alone: no
+    rolled copy of the grid, no lambda pass over the rows theta in (-pi, 0)
+    and no full table are made. Its coefficients satisfy c_{-n} = conj(c_n)
+    and c_n = (-1)^{n1} c_{M(n)}, so every partial sum of it is real.
+
+    Any other grid gets the full ``rfft2`` table of its real part plus, when
+    its imaginary part is nonzero, i times that of its imaginary part,
+    scaled by i in place before it is added, so a complex grid makes no
+    third table. No table is symmetrized, so a BMC violation of the grid
+    shows in it. A grid holding a non-finite sample raises ValueError.
     """
     bmc = grid.bmc  # True only for a finite grid, so the scan below runs on grids that are not BMC
-    if not (bmc or np.all(np.isfinite(grid.values))):
+    x = grid.values
+    if not (bmc or np.all(np.isfinite(x))):
         raise ValueError("torus grid holds non-finite samples")
-    real = np.isrealobj(grid.values) or not np.any(grid.values.imag)
-    table = CoefficientTable(_real_coefficients(grid.values.real, bmc))
+    real = np.isrealobj(x) or not np.any(x.imag)
+    if real and bmc:
+        return CoefficientTable._of_half(_half_spectrum(x.real))
+    table = CoefficientTable(_real_coefficients(x.real))
     if not real:
-        imag = _real_coefficients(grid.values.imag, bmc)
+        imag = _real_coefficients(x.imag)
         imag *= 1j
         table.values += imag
-    if real and bmc:  # read-only, so that edited values cannot keep the mark
-        table.values.flags.writeable = False
-        table._marked_values = table.values
     return table
 
 
@@ -304,25 +350,26 @@ def _truncated_block(table, omega):
     exp(i <M(n), x>), rows -j are then (-1)^{n1} times rows j. ``omega=None``
     gives a copy of the whole table.
 
-    For a table marked by :func:`compute_coefficients` as that of a real BMC
+    For a half table (see :class:`CoefficientTable`), that of a real BMC
     grid, ``real`` is True and the block holds only the columns n1 = 0 ..
-    degree, with the table's own entries: the sum over omega is real, and
-    the columns n1 < 0 are the conjugates of these, so each summing kernel
-    adds them back in its own way (:func:`_separable_sum`, :func:`_grid_sum`).
+    degree, read from the half: the sum over omega is real, and the columns
+    n1 < 0 are the conjugates of these, so each summing kernel adds them
+    back in its own way (:func:`_separable_sum`, :func:`_grid_sum`).
     Otherwise ``real`` is False and the block holds every column.
     """
-    if omega is None:
-        return table.n1_values, table.n2_values, table.values.copy(), False
+    if omega is None:  # a half table's values are already a fresh array, but read-only
+        whole = table.values.copy() if table._half is None else _centered_table(table._half)
+        return table.n1_values, table.n2_values, whole, False
     if omega.degree > table.max_degree:
         raise ValueError(
             f"truncation degree {omega.degree} exceeds the table range "
             f"(max usable degree {table.max_degree})"
         )
-    N2, N1 = table.values.shape
+    stored, zero, first = table._stored()
     n = np.arange(-omega.degree, omega.degree + 1)
-    real = table._real_bmc
+    real = table._half is not None
     n1 = n[omega.degree :] if real else n
-    block = table.values[np.ix_(n + N2 // 2, n1 + N1 // 2)]
+    block = stored[np.ix_((n + zero) % len(stored), n1 - first)]
     block[~omega.contains(*np.meshgrid(n1, n))] = 0.0
     if omega.half:
         block[: omega.degree] = block[: omega.degree : -1]
@@ -574,29 +621,32 @@ def dfs_fourier_sum(table, omega, points):
     """Partial sum of the folded series at sphere points.
 
     sum over n in omega (a half-domain set) of c_n b_n(xi), with coefficients
-    read from a full coefficient table: the folded block of
+    read from a coefficient table: the folded block of
     :func:`_truncated_block`, evaluated by the separable kernel at the unit
-    phases of the points. A table of a real BMC grid sums its n1 >= 0
-    columns, with imaginary part 0.
+    phases of the points. A half table, that of a real BMC grid, sums its
+    n1 >= 0 columns, with imaginary part 0.
     """
     if omega is None or not omega.half:
         raise ValueError("dfs_fourier_sum expects a half-domain spectral set")
     return _separable_sum(*_truncated_block(table, omega), *_unit_phases(points))
 
 
-def _mirror_residual(values):
+def _mirror_residual(table):
     """The mirrored half of a table and its relative asymmetry.
 
-    The half holds (-1)^{n1} c_(n1, -n2) for the rows n2 = 0 .. N2/2 - 1 and
-    then the self-paired Nyquist row. As |c_n - (-1)^{n1} c_{M(n)}| is the same
-    for rows n2 and -n2, comparing these rows with their mirrors covers the table.
-    The sign is a copy with the odd-n1 columns negated in place.
+    The mirrored half holds (-1)^{n1} c_(n1, -n2) for the rows n2 = 0 .. N2/2 - 1
+    and then the self-paired Nyquist row, over the stored columns. As
+    |c_n - (-1)^{n1} c_{M(n)}| is the same for rows n2 and -n2, and for n
+    and -n of a half table, comparing these rows with their mirrors covers
+    the table. The sign is a copy with the odd-n1 columns negated in place.
     """
-    h2 = values.shape[0] // 2
-    mirrored = values[h2::-1].copy()
-    _negate_odd_columns(mirrored, -(values.shape[1] // 2))
-    resid = np.maximum(np.max(np.abs(values[h2:] - mirrored[:h2])), np.max(np.abs(values[0] - mirrored[h2])))
-    scale = np.max(np.abs(values))
+    stored, zero, first = table._stored()
+    h2 = len(stored) // 2
+    mirrored = stored[(zero - np.arange(h2 + 1)) % len(stored)]  # rows n2 = 0, -1, .., -N2/2
+    _negate_odd_columns(mirrored, first)
+    resid = np.maximum(np.max(np.abs(stored[zero : zero + h2] - mirrored[:h2])),
+                       np.max(np.abs(stored[zero - h2] - mirrored[h2])))
+    scale = np.max(np.abs(stored))
     return mirrored, 0.0 if scale == 0 else float(resid / scale)
 
 
@@ -607,18 +657,33 @@ def fold_coefficients(table):
     row and the Nyquist row are averaged with themselves, which zeroes their
     odd-n1 entries. Raises if the relative asymmetry exceeds ``_SYMMETRY_TOL`` (the
     source grid was not BMC) or is NaN (the table holds non-finite values).
+    A half table is folded from its half, with the same bits as its full
+    values: each n1 < 0 entry is conjugated before the two terms are added.
     """
-    half, violation = _mirror_residual(table.values)
+    mirrored, violation = _mirror_residual(table)
     if not violation <= _SYMMETRY_TOL:
         raise ValueError(
             f"coefficient symmetry violated (relative asymmetry {violation:.3e} > {_SYMMETRY_TOL:.1e}); "
             "source grid is not block-mirror-centrosymmetric"
         )
-    h2 = table.values.shape[0] // 2
-    half[:h2] += table.values[h2:]                # n2 = 0 .. N2/2 - 1
-    half[h2] += table.values[0]                   # self-paired Nyquist row
-    half *= 0.5
-    return FoldedCoefficientTable(half)
+    stored, zero, first = table._stored()
+    h2 = len(stored) // 2
+    if table._half is None:
+        folded = mirrored
+        folded[:h2] += stored[h2:]                # n2 = 0 .. N2/2 - 1
+        folded[h2] += stored[0]                   # self-paired Nyquist row
+    else:
+        h1 = stored.shape[1] - 1
+        folded = np.empty((h2 + 1, 2 * h1), dtype=complex)
+        np.add(mirrored[:, :h1], stored[: h2 + 1, :h1], out=folded[:, h1:])
+        # column -m: (-1)^m conj(c_(m, n2)) plus conj(c_(m, -n2)), the mirror's sign undone
+        np.conjugate(stored[: h2 + 1, h1:0:-1], out=folded[:, :h1])
+        _negate_odd_columns(folded[:, :h1], -h1)
+        np.conjugate(mirrored, out=mirrored)
+        _negate_odd_columns(mirrored, 0)
+        folded[:, :h1] += mirrored[:, h1:0:-1]
+    folded *= 0.5
+    return FoldedCoefficientTable(folded)
 
 
 def unfold_coefficients(folded):
@@ -645,7 +710,7 @@ def coeff_io_write(table, path):
     (always 0, the integral convention of this module), then row-major complex
     values (rows ordered by ascending n2) as little-endian float64 pairs.
     """
-    h2, h1 = table.values.shape[0] // 2, table.values.shape[1] // 2
+    h2, h1 = table._shape[0] // 2, table._shape[1] // 2
     _write_container(path, _COEFF_LAYOUT, (-h1, h1, -h2, h2, 0), table.values)
 
 

@@ -232,7 +232,7 @@ class TestCoefficientTableFor:
         expected = compute_coefficients(dfs_double(sample_sphere(f, n, n // 2)))
         table = coefficient_table_for(f, n)
         assert np.array_equal(table.values, expected.values)
-        assert table._real_bmc == expected._real_bmc
+        assert table._half.tobytes() == expected._half.tobytes()
 
 
 class TestDecayReport:
@@ -288,7 +288,7 @@ class TestDecayReport:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_table(self, bad):
-        # a marked table's values are read-only: edit an unmarked copy
+        # the values of a half table are read-only: edit a full copy
         table = CoefficientTable(coefficient_table_for(combo(), 64).values.copy())
         table.values[:] = bad
         with pytest.raises(ValueError, match="non-finite"):

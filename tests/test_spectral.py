@@ -30,7 +30,7 @@ from dfsphere.spectral import (
     quadrature_rule,
     unfold_coefficients,
 )
-from dfsphere.analysis import coefficient_table_for, truncations
+from dfsphere.analysis import Truncation, coefficient_table_for, decay_report, truncations
 from dfsphere.sh_reference import SHCoefficients, _colatitude_table, _truncation_mask, sh_partial_sums
 from dfsphere.spectral import _angle_phases, _colatitude_factor, _grid_sum, _phases, _truncated_block
 from dfsphere.testfns import spherical_function, standard_combination
@@ -929,7 +929,7 @@ class TestRealHalfPath:
         lat = sample_sphere(combo(), 16, 8)
         doubled = dfs_double(lat)
         for grid in (doubled, TorusGrid(doubled.values), TorusGrid(doubled.values.astype(complex))):
-            assert compute_coefficients(grid)._real_bmc
+            assert compute_coefficients(grid)._half is not None
         nudged = doubled.values.copy()
         nudged[3, 5] = np.nextafter(nudged[3, 5], np.inf)
         unmarked = [
@@ -941,10 +941,10 @@ class TestRealHalfPath:
         ]
         coeff_io_write(compute_coefficients(doubled), tmp_path / "c.dfsc")
         unmarked.append(coeff_io_read(tmp_path / "c.dfsc"))
-        assert not any(t._real_bmc for t in unmarked)
+        assert not any(t._half is not None for t in unmarked)
 
     @settings(max_examples=30, deadline=None)
-    @given(sums_of(doubled_tables().filter(lambda t: t._real_bmc)))
+    @given(sums_of(doubled_tables().filter(lambda t: t._half is not None)))
     def test_marked_sums_match_the_full_block_and_are_real(self, case):
         table, omega, points, n_theta, n_lambda = case
         plain = CoefficientTable(table.values)
@@ -962,7 +962,7 @@ class TestRealHalfPath:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(full_block(plain, summed)[1]))
 
     @settings(max_examples=30, deadline=None)
-    @given(sums_of(st.one_of(doubled_tables().filter(lambda t: not t._real_bmc), real_grid_tables(), random_tables())),
+    @given(sums_of(st.one_of(doubled_tables().filter(lambda t: t._half is None), real_grid_tables(), random_tables())),
            st.booleans())
     def test_unmarked_sums_are_the_full_block_bit_for_bit(self, io_dir, case, via_file):
         # tables of complex grids, of real grids that are not BMC and built by
@@ -981,7 +981,7 @@ class TestRealHalfPath:
             assert np.array_equal(dfs_fourier_sum(table, omega, points), full_point_sum(table, omega, *_unit_phases(points)))
 
     @settings(max_examples=30, deadline=None)
-    @given(sums_of(doubled_tables().filter(lambda t: t._real_bmc)))
+    @given(sums_of(doubled_tables().filter(lambda t: t._half is not None)))
     def test_marked_blocks_hold_the_table_entries(self, case):
         # the columns n1 >= 0 of the full block, unweighted: each kernel weights them itself
         table, omega, _, _, _ = case
@@ -1022,7 +1022,7 @@ class TestRealHalfPath:
             assert np.array_equal(total(real), total(cast))
 
     def test_marked_values_are_read_only_and_new_values_drop_the_mark(self):
-        # an edit must not keep the mark, or the sums would read only the n1 >= 0
+        # an edit must not keep the half, or the sums would read only the n1 >= 0
         # columns and drop the imaginary part: [-1.808, -1.598] here
         table = coefficient_table_for(combo(), 64)
         edited = table.values.copy()
@@ -1032,12 +1032,15 @@ class TestRealHalfPath:
         assert_allclose(want, [-0.904 + 0.427j, -0.807 + 0.612j], atol=1e-3)
         with pytest.raises(ValueError, match="read-only"):
             table.values[35, 34] += 1.0
-        assert table._real_bmc
-        # a deep copy or a pickled copy holds writeable values, which an edit could change
+        assert table._half is not None
+        rebuilt = type(table)(table.values.copy())
+        assert rebuilt._half is None and rebuilt.values.flags.writeable
+        # a deep copy or a pickled copy keeps a half of its own, so it has no values to edit either
         for copied in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
-            assert copied.values.flags.writeable and not copied._real_bmc
+            assert not np.shares_memory(copied._half, table._half)
+            assert copied.values.tobytes() == table.values.tobytes() and not copied.values.flags.writeable
         table.values = edited
-        assert not table._real_bmc
+        assert table._half is None
         assert np.array_equal(partial_sum_torus(table, omega, lam, theta), want)
 
     def test_marked_scalar_is_a_complex_with_zero_imaginary_part(self):
@@ -1138,7 +1141,7 @@ class TestFold:
         assert np.array_equal(unfold_coefficients(fold_coefficients(symmetrized)).values, symmetrized.values)
 
     def test_nan_entry_propagates_and_fold_raises(self):
-        table = CoefficientTable(cos_theta_table(16).values.copy())  # an unmarked copy, as marked values are read-only
+        table = CoefficientTable(cos_theta_table(16).values.copy())  # a full copy, as the values of a half table are read-only
         table.values[3, 5] = np.nan
         assert np.isnan(table.symmetry_violation())
         assert np.isnan(table.conjugate_symmetry_violation())
@@ -1169,8 +1172,12 @@ def rfft2_coefficients(values):
 
 def out_of_place_grid_sum(table, omega, n_theta, n_lambda, rows):
     """Reference grid sum: the theta ifft writes a fresh array, the rest as in _grid_sum."""
-    n1, n2, block, real = _truncated_block(table, omega)
-    block *= alternating_of(n2)[:, None] * alternating_of(n1)[None, :]
+    return out_of_place_block_sum(*_truncated_block(table, omega), n_theta, n_lambda, rows)
+
+
+def out_of_place_block_sum(n1, n2, block, real, n_theta, n_lambda, rows):
+    """The reference grid sum of a truncation block."""
+    block = block * alternating_of(n2)[:, None] * alternating_of(n1)[None, :]
     columns = np.zeros((n_theta, len(n1)), dtype=complex)
     columns[n2 % n_theta] = block
     columns = np.fft.ifft(columns, axis=0, norm="forward")[rows]
@@ -1248,7 +1255,7 @@ class TestInPlaceAndNegatedForms:
     @example(100, 64, False, 0)
     @example(48, 50, True, 0)
     def test_glide_rows_give_the_rfft2_table(self, half_lambda, nth, is_complex, seed):
-        # a doubled grid of any even n_lambda and any nth >= 1: only its glide-distinct rows go through the lambda pass
+        # a doubled grid of any even n_lambda and any nth >= 1: a real one is transformed from its glide-distinct rows
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(nth + 1, 2 * half_lambda))
         if is_complex:
@@ -1257,13 +1264,13 @@ class TestInPlaceAndNegatedForms:
         assert grid.bmc
         table, want = compute_coefficients(grid), rfft2_coefficients(grid.values)
         assert np.max(np.abs(table.values - want)) <= 1e-15 * np.max(np.abs(want))
-        assert table._real_bmc is not is_complex
+        assert (table._half is not None) is not is_complex
 
     @pytest.mark.parametrize("n_lambda, nth", [(1024, 512), (512, 256)])
     def test_glide_rows_give_the_rfft2_table_bit_for_bit_on_power_of_two_sides(self, n_lambda, nth):
         grid = dfs_double(sample_sphere(combo(), n_lambda, nth))
         table = compute_coefficients(grid)
-        assert table._real_bmc
+        assert table._half is not None
         assert table.values.tobytes() == rfft2_coefficients(grid.values).tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -1280,7 +1287,7 @@ class TestInPlaceAndNegatedForms:
         assert not grid.bmc
         table = compute_coefficients(grid)
         assert table.values.tobytes() == rfft2_coefficients(grid.values).tobytes()
-        assert not table._real_bmc
+        assert table._half is None
 
     @settings(max_examples=30, deadline=None)
     @given(sums_of(st.one_of(doubled_tables(), random_tables())), st.data())
@@ -1325,9 +1332,60 @@ class TestInPlaceAndNegatedForms:
         assert same_bits_but_zero_signs(got, product)
 
 
+@st.composite
+def half_tables(draw):
+    """Tables of doubled real lat-lon grids of any even n_lambda and nth >= 1, whose pole rows were not constant."""
+    n_lambda, nth = 2 * draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(nth + 1, n_lambda))
+    return compute_coefficients(dfs_double(LatLonGrid(values)))
+
+
+def half_block_of(full, omega):
+    """The columns n1 >= 0 of a full table's block: what a half table with its values sums, by the real kernels."""
+    n1, n2, block, _ = _truncated_block(full, omega)
+    return n1[omega.degree :], n2, block[:, omega.degree :], True
+
+
+class TestHalfTable:
+    """A half table reads from its half the bits its full copy CoefficientTable(t.values.copy()) reads from its values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sums_of(half_tables()), st.data())
+    def test_half_table_reads_the_bits_of_its_full_copy(self, io_dir, case, data):
+        table, omega, points, n_theta, n_lambda = case
+        full = CoefficientTable(table.values.copy())
+        assert table._half is not None and full._half is None
+        bits = lambda x: np.asarray(x).tobytes()
+        # the fold with the zero signs of its entries
+        assert bits(fold_coefficients(table).values) == bits(fold_coefficients(full).values)
+        assert bits(table.symmetry_violation()) == bits(full.symmetry_violation())
+        half, got = (decay_report(t, 3, 0.9, 1, table.max_degree + 1) for t in (table, full))
+        assert all(bits(getattr(half, k)) == bits(getattr(got, k)) for k in vars(got))
+        assert bits(Truncation(table, None, omega, None, 0.0).tail_sum) == bits(Truncation(full, None, omega, None, 0.0).tail_sum)
+        N2, N1 = full.values.shape
+        n1 = np.array(data.draw(st.lists(st.integers(-(N1 // 2), N1 // 2 - 1), min_size=1, max_size=8)))
+        n2 = np.array(data.draw(st.lists(st.integers(-(N2 // 2), N2 // 2 - 1), min_size=len(n1), max_size=len(n1))))
+        assert bits(table.coeff(n1, n2)) == bits(full.coeff(n1, n2))
+        assert type(table.coeff(n1[0], n2[0])) is type(full.coeff(n1[0], n2[0])) is np.complex128
+        assert bits(table.coeff(n1[0], n2[0])) == bits(full.coeff(n1[0], n2[0]))
+        assert dfsc_bytes(table, io_dir) == dfsc_bytes(full, io_dir)
+        # the sums read the full copy's columns n1 >= 0 from the half
+        lam, theta = dfs_coord_inverse(points)
+        sym = omega.symmetrized()
+        assert bits(partial_sum_torus(table, sym, lam, theta)) == bits(
+            sliced_separable_sum(*half_block_of(full, sym), _angle_phases(lam), _angle_phases(theta)))
+        assert bits(_grid_sum(table, omega, n_theta, n_lambda, slice(None))) == bits(
+            out_of_place_block_sum(*half_block_of(full, omega), n_theta, n_lambda, slice(None)))
+        if omega.half:
+            assert bits(dfs_fourier_sum(table, omega, points)) == bits(
+                sliced_separable_sum(*half_block_of(full, omega), *_unit_phases(points)))
+        # omega=None sums every column of both
+        assert bits(partial_sum_torus(table, None, lam, theta)) == bits(partial_sum_torus(full, None, lam, theta))
+
+
 @pytest.fixture(scope="module")
 def f3_grid_1024():
-    """The doubled 1024^2 torus grid of f3-combo and its marked table."""
+    """The doubled 1024^2 torus grid of f3-combo and its half table."""
     grid = dfs_double(sample_sphere(combo(), 1024, 512))
     return grid, compute_coefficients(grid)
 
@@ -1348,11 +1406,25 @@ class TestTransformMemory:
     """Peaks of the transforms under tracemalloc: the forward table with its half spectrum, and a grid sum with no lambda spectrum besides its output."""
 
     def test_forward_transform_holds_the_half_spectrum_and_the_table(self, f3_grid_1024):
-        # the 1024 x 513 complex half spectrum (8 MiB) and the 16 MiB table, held together while the table is filled
+        # the bound of a forward transform that held the 1024 x 513 half spectrum (8 MiB) and a 16 MiB full table together
         grid, _ = f3_grid_1024
         table, peak = traced_peak(compute_coefficients, grid)
-        assert table._real_bmc
+        assert table._half is not None
         assert peak <= 24.5 * MIB
+
+    def test_forward_transform_holds_only_the_half_spectrum(self, f3_grid_1024):
+        # the half spectrum is 8.0 MiB, and no full table is made
+        grid, _ = f3_grid_1024
+        table, peak = traced_peak(compute_coefficients, grid)
+        assert table._half is not None and table._half.nbytes == 1024 * 513 * 16
+        assert peak <= 8.5 * MIB
+
+    def test_fold_of_a_half_table_holds_the_fold_and_a_mirrored_half(self, f3_grid_1024):
+        # the 513 x 1024 folded table (8 MiB) and the 513 x 513 mirrored rows (4 MiB), not a full 16 MiB table
+        _, table = f3_grid_1024
+        folded, peak = traced_peak(fold_coefficients, table)
+        assert folded.values.nbytes == 513 * 1024 * 16
+        assert peak <= 13 * MIB
 
     @pytest.mark.parametrize("marked", [True, False])
     def test_grid_synthesis_holds_little_besides_its_output(self, f3_grid_1024, marked):
@@ -1361,14 +1433,14 @@ class TestTransformMemory:
         if not marked:
             table = CoefficientTable(table.values.copy())
         synth, peak = traced_peak(partial_sum_grid, table, SpectralSet("rectangle", 64), 512, 512)
-        assert table._real_bmc is marked
+        assert (table._half is not None) is marked
         assert peak <= synth.values.nbytes + 1.5 * MIB
 
     def test_real_grid_sum_of_a_marked_table_holds_little_besides_its_output(self, f3_grid_1024):
         # the folded series on a 512 x 1024 target, by irfft into the real part of the output
         _, table = f3_grid_1024
         out, peak = traced_peak(_grid_sum, table, SpectralSet("ball", 100, half=True), 512, 1024, slice(None))
-        assert table._real_bmc and np.all(out.imag == 0.0)
+        assert table._half is not None and np.all(out.imag == 0.0)
         assert peak <= out.nbytes + 1.5 * MIB
 
 
@@ -1438,7 +1510,7 @@ class TestCoeffIO:
 
     @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
     def test_rejects_non_finite_payload(self, tmp_path, bad):
-        table = CoefficientTable(cos_theta_table(16).values.copy())  # an unmarked copy, as marked values are read-only
+        table = CoefficientTable(cos_theta_table(16).values.copy())  # a full copy, as the values of a half table are read-only
         table.values[2, 3] = bad
         path = tmp_path / "n.dfsc"
         coeff_io_write(table, path)
