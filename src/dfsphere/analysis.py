@@ -175,7 +175,7 @@ def error_table(
     Each ``max_error`` comes from :func:`truncations`, synthesized on the
     evaluation grid's own lat-lon rows. Each ``sh_max_error`` comes from the
     :func:`~dfsphere.sh_reference.sh_synthesize` sum at that row's degree on
-    the same longitudes and colatitudes.
+    the same lat-lon grid.
 
     Rows are computed in order; each row's ``elapsed`` is the wall time from
     the start of the call to the end of that row, so it includes the
@@ -188,7 +188,7 @@ def error_table(
         sh_error = None
         if sh_coefficients is not None:
             ref = t.reference
-            (sh_sum,) = sh_synthesize(sh_coefficients, ref.lambdas, ref.thetas, [t.omega.degree])
+            (sh_sum,) = sh_synthesize(sh_coefficients, ref.n_lambda, ref.n_theta_half, [t.omega.degree])
             sh_error = float(np.max(np.abs(sh_sum - ref.values)))
         rows.append(ErrorTableRow(
             degree=t.omega.degree,

@@ -46,6 +46,15 @@ def _colatitude_nodes(nth):
     return np.pi * np.arange(nth + 1) / nth
 
 
+def _latlon_nodes(n_lambda, n_theta_half):
+    """The longitudes and colatitudes of an n_lambda x (n_theta_half + 1) lat-lon grid; bad sizes raise ValueError."""
+    if n_lambda < 2 or n_lambda % 2:
+        raise ValueError(f"n_lambda must be even and >= 2, got {n_lambda}")
+    if n_theta_half < 1:
+        raise ValueError(f"n_theta_half must be >= 1, got {n_theta_half}")
+    return _periodic_nodes(n_lambda), _colatitude_nodes(n_theta_half)
+
+
 def _sample_array(values):
     """Contiguous float64 samples when ``values`` is real, complex128 otherwise."""
     return np.ascontiguousarray(values, dtype=float if np.isrealobj(values) else complex)
@@ -176,11 +185,8 @@ def sample_sphere(f, n_lambda, n_theta_half):
     otherwise. Values of another shape than the nodes, or a non-finite
     sample (:class:`LatLonGrid`), raise ValueError.
     """
-    if n_lambda < 2 or n_lambda % 2:
-        raise ValueError(f"n_lambda must be even and >= 2, got {n_lambda}")
-    if n_theta_half < 1:
-        raise ValueError(f"n_theta_half must be >= 1, got {n_theta_half}")
-    points = dfs_coord(_periodic_nodes(n_lambda)[None, :], _colatitude_nodes(n_theta_half)[:, None])
+    lam, theta = _latlon_nodes(n_lambda, n_theta_half)
+    points = dfs_coord(lam[None, :], theta[:, None])
     points[0], points[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)  # sin(pi) is not 0 in floating point
     vals = np.asarray(f(points))
     if vals.shape != points.shape[:-1]:
@@ -215,8 +221,14 @@ def dfs_double(g):
 
 
 def _write_container(path, layout, fields, values):
-    """Write ``layout``'s magic, version and header ``fields``, then ``values`` row-major as complex float64 pairs."""
-    _, magic, version, fmt = layout
+    """Write ``layout``'s magic, version and header ``fields``, then ``values`` row-major as complex float64 pairs.
+
+    A non-finite value, which :func:`_read_container` rejects, raises
+    ValueError before the path is opened.
+    """
+    what, magic, version, fmt = layout
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} payload holds non-finite values")
     with open(path, "wb") as fh:
         fh.write(struct.pack(fmt, magic, version, *fields))
         fh.write(np.ascontiguousarray(values, dtype="<c16"))

@@ -11,10 +11,11 @@ Analysis uses an FFT in longitude and Clenshaw-Curtis quadrature in colatitude;
 the equispaced-in-theta rows of a lat-lon grid are exactly the Chebyshev
 (cosine-spaced) nodes in t = cos(theta). Analysis and synthesis serve the
 orders k and -k with one Legendre table and one product, Pbar_n^-k =
-(-1)^k Pbar_n^k being a sign on a column. Synthesis contracts the colatitude
-table so built with a table of phases exp(i k lambda) over k: on a grid by
-one matrix product, at scattered points by the point kernel of the folded
-series, ``spectral._point_sum``, which owns the slices and their budget.
+(-1)^k Pbar_n^k being a sign on a column. Synthesis sums the colatitude table
+so built over the orders k with the phases exp(i k lambda) by the kernels of
+the folded series: on a lat-lon grid by its inverse FFT in longitude,
+``spectral._lambda_sum``, and at scattered points by its point kernel,
+``spectral._point_sum``, which owns the slices and their budget.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _unit_phases
-from .spectral import _angle_phases, _check_degrees, _phases, _point_sum
+from .grids import _latlon_nodes
+from .spectral import _angle_phases, _check_degrees, _lambda_sum, _point_sum
 
 __all__ = [
     "SHCoefficients",
@@ -170,20 +172,22 @@ def _colatitude_table(coeffs, keep, w):
     return A
 
 
-def sh_synthesize(coeffs, lam, theta, degrees):
-    """Truncations at each requested degree (ascending) on the grid of 1-D longitudes and colatitudes.
+def sh_synthesize(coeffs, n_lambda, n_theta_half, degrees):
+    """Truncations at each requested degree (ascending) on the grid of ``sample_sphere(f, n_lambda, n_theta_half)``.
 
-    The colatitude table (:func:`_colatitude_table`) contracted over k with the
-    phases exp(i k lam), k = -h .. h: one matrix product. Returns shape
-    (len(degrees), len(theta), len(lam)); a non-finite angle raises ValueError.
+    The colatitude table (:func:`_colatitude_table`) at the grid's
+    colatitudes, summed over the orders k = -h .. h, h the largest degree, by
+    the lambda inverse FFT of the folded series' grid sum,
+    :func:`spectral._lambda_sum`. Returns shape (len(degrees), n_theta_half
+    + 1, n_lambda). Sizes are checked as :func:`~dfsphere.grids.sample_sphere`
+    checks them, and a grid of fewer than 2h + 1 longitudes raises ValueError.
     """
-    if np.ndim(lam) != 1 or np.ndim(theta) != 1:
-        raise ValueError(f"longitudes and colatitudes must be 1-d, got {np.shape(lam)} and {np.shape(theta)}")
+    _, theta = _latlon_nodes(n_lambda, n_theta_half)
     keep = _truncation_mask(coeffs, degrees)
     h = len(keep) - 1
-    sums = np.tensordot(_colatitude_table(coeffs, keep, _angle_phases(theta)),
-                        _phases(_angle_phases(lam), np.arange(-h, h + 1)), (0, 0))
-    return np.moveaxis(sums, 1, 0)
+    # A[k + h, j, d] read as [d, j, k]: the orders on the last axis, signed in place by _lambda_sum
+    A = _colatitude_table(coeffs, keep, _angle_phases(theta))
+    return _lambda_sum(A.transpose(2, 1, 0), np.arange(-h, h + 1), n_lambda, False)
 
 
 def sh_partial_sums(coeffs, points, degrees):

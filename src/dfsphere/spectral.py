@@ -52,11 +52,12 @@ _SYMMETRY_TOL = 1e-8
 def _negate_odd_columns(rows, first):
     """Negate, in place, the odd-index columns of ``rows``, column 0 holding index ``first``: (-1)^n times each row.
 
-    Column c holds n = first + c, so the odd n start at column (first + 1)
-    mod 2. Negation flips the sign of zero components too, where a product
-    with the complex -1 takes it from its cross terms.
+    Columns run along the last axis of ``rows``, any view, which is signed
+    where it lies. Column c holds n = first + c, so the odd n start at
+    column (first + 1) mod 2. Negation flips the sign of zero components too,
+    where a product with the complex -1 takes it from its cross terms.
     """
-    odd = rows[:, (first + 1) % 2 :: 2]
+    odd = rows[..., (first + 1) % 2 :: 2]
     np.negative(odd, out=odd)
 
 
@@ -463,40 +464,52 @@ def partial_sum_torus(table, omega, lam, theta):
     return _separable_sum(*_truncated_block(table, omega), _angle_phases(lam), _angle_phases(theta))
 
 
+def _lambda_sum(columns, n1, n_lambda, real):
+    """sum_k columns[..., k] exp(i n1[k] lambda_l) on the n_lambda longitudes lambda_l = -pi + 2 pi l / n_lambda.
+
+    The lambda inverse of both expansions' grid sums, orders n1 (contiguous)
+    on the last axis of ``columns``, which it signs in place by (-1)^{n1} to
+    move the origin to -pi. Each order is placed in its bin of the lambda
+    spectrum, and the spectrum is inverted along lambda in place, so the
+    result is the one array of the output's size. With ``real`` set the
+    orders are n1 = 0 .. degree of a sum whose orders n1 < 0 are their
+    conjugates: ``irfft`` adds those itself, zero-pads each row up to the
+    Nyquist column and writes into the real part of the zeroed complex
+    result, whose imaginary part stays 0. Orders that would share a bin
+    raise ValueError. Returns shape columns.shape[:-1] + (n_lambda,).
+    """
+    width = 2 * len(n1) - 1 if real else len(n1)
+    if width > n_lambda:
+        raise ValueError(f"a target grid of {n_lambda} longitudes cannot hold the {width} orders of the sum")
+    _negate_odd_columns(columns, n1[0])
+    out = np.zeros(columns.shape[:-1] + (n_lambda,), dtype=complex)
+    if real:
+        np.fft.irfft(columns, n_lambda, axis=-1, norm="forward", out=out.real)
+    else:
+        out[..., n1 % n_lambda] = columns
+        np.fft.ifft(out, axis=-1, norm="forward", out=out)
+    return out
+
+
 def _grid_sum(table, omega, n_theta, n_lambda, rows):
     """Rows ``rows`` of the sum of :func:`_truncated_block` on an n_theta x n_lambda torus grid.
 
     The block's columns alone are zero-padded to n_theta and transformed along
-    theta, in place; the requested rows are then placed in the lambda
-    spectrum and transformed along lambda, so neither the padded 2-d spectrum
-    nor the rows left out are ever formed. A half-domain set gives the folded
-    series. A block of n1 >= 0 columns is transformed by ``irfft``, which adds
-    the conjugate columns n1 < 0 itself and zero-pads each row up to the
-    lambda Nyquist column; it writes into the real part of the zeroed complex
-    result, whose imaginary part stays 0. Any other block's rows are placed in
-    the result, which is then inverted along lambda in place. So the result
-    is the one array of the output's size. Returns shape (len(rows), n_lambda).
+    theta, in place; the requested rows then go to :func:`_lambda_sum`, so
+    neither the padded 2-d spectrum nor the rows left out are ever formed. A
+    half-domain set gives the folded series, and a block of n1 >= 0 columns
+    (``real``) a real sum. Returns shape (len(rows), n_lambda).
     """
     n1, n2, block, real = _truncated_block(table, omega)
-    width = 2 * len(n1) - 1 if real else len(n1)
-    if len(n2) > n_theta or width > n_lambda:
-        raise ValueError(
-            f"target grid {n_theta} x {n_lambda} cannot hold the {len(n2)} x {width} coefficient block"
-        )
-    # (-1)^{n1 + n2} moves the origin to (-pi, -pi)
-    _negate_odd_columns(block, n1[0])
+    if len(n2) > n_theta:
+        raise ValueError(f"a target grid of {n_theta} colatitudes cannot hold the {len(n2)} block rows")
+    # (-1)^{n2} moves the theta origin to -pi; _lambda_sum does the same for lambda
     _negate_odd_columns(block.T, n2[0])
     columns = np.zeros((n_theta, len(n1)), dtype=complex)
     columns[n2 % n_theta] = block
     # norm="forward" leaves the inverse transforms unscaled, as the sum is
     columns = np.fft.ifft(columns, axis=0, norm="forward", out=columns)[rows]
-    out = np.zeros((columns.shape[0], n_lambda), dtype=complex)
-    if real:  # columns n1 = 0 .. degree are the lambda spectrum's first ones; irfft zero-pads each row itself
-        np.fft.irfft(columns, n_lambda, axis=1, norm="forward", out=out.real)
-    else:
-        out[:, n1 % n_lambda] = columns
-        np.fft.ifft(out, axis=1, norm="forward", out=out)
-    return out
+    return _lambda_sum(columns, n1, n_lambda, real)
 
 
 def partial_sum_grid(table, omega, n_theta, n_lambda):
@@ -604,8 +617,7 @@ def basis_gram(indices):
     taken once over the distinct 1-D rows, the phases of n1 = min .. max and
     the colatitude factors of each n1 parity and n2, and then indexed by the
     members. ``einsum`` forms these small Grams without a threaded BLAS call,
-    whose thread start-up stalled the 41-member Gram for 80-93 ms in some
-    fresh processes on 2 shared CPUs.
+    whose threads can stall a fresh process on shared CPUs.
     """
     lam, theta, w = quadrature_rule(512)
     n1, n2 = np.array(indices, dtype=int).reshape(-1, 2).T

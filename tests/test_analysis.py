@@ -207,7 +207,7 @@ class TestErrorTable:
         sh = sh_analyze(sample_sphere(f, 128, 64), 24)
         rows = error_table(f, degrees, sh_coefficients=sh)
         ref = sample_sphere(f, 512, 256)
-        stacked = sh_synthesize(sh, ref.lambdas, ref.thetas, degrees)
+        stacked = sh_synthesize(sh, ref.n_lambda, ref.n_theta_half, degrees)
         assert [r.sh_max_error for r in rows] == [float(np.max(np.abs(s - ref.values))) for s in stacked]
 
     def test_sh_column_memory_bounded(self):

@@ -362,12 +362,24 @@ class TestGridIO:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_payload(self, tmp_path, bad):
+        import struct
+
         vals = np.ones((8, 8), dtype=complex)
         vals[3, 5] = bad
         path = tmp_path / "n.dfsg"
-        grid_io_write(TorusGrid(vals), path)
+        path.write_bytes(b"DFSG" + struct.pack("<IQQB", 1, 8, 8, 0) + vals.astype("<c16").tobytes())
         with pytest.raises(ValueError, match="non-finite"):
             grid_io_read(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_write_rejects_non_finite_payload_and_leaves_no_file(self, tmp_path, bad):
+        # the writer used to write what the reader then rejected
+        vals = np.ones((8, 8), dtype=complex)
+        vals[3, 5] = bad
+        path = tmp_path / "n.dfsg"
+        with pytest.raises(ValueError, match="non-finite"):
+            grid_io_write(TorusGrid(vals), path)
+        assert not path.exists()
 
     @settings(max_examples=25, deadline=None)
     @given(torus_grids())

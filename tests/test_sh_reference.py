@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
 from dfsphere.geometry import dfs_coord
-from dfsphere.grids import LatLonGrid, sample_sphere
+from dfsphere.grids import LatLonGrid, _colatitude_nodes, _periodic_nodes, sample_sphere
 from dfsphere.sh_reference import (
     SHCoefficients,
     _legendre_orders,
@@ -189,8 +189,9 @@ class TestAnalyze:
         f = lambda p: polyval3d(p[..., 0], p[..., 1], p[..., 2], c)
         grid = sample_sphere(f, n_lambda, nth)
         lam, theta = rng.uniform(-np.pi, np.pi, size=20), rng.uniform(0.0, np.pi, size=15)
-        got = sh_synthesize(sh_analyze(grid, h), lam, theta, [h])[0]
-        want = f(dfs_coord(lam[None, :], theta[:, None]))
+        points = dfs_coord(lam[None, :], theta[:, None])
+        got = sh_partial_sums(sh_analyze(grid, h), points, [h])[0]
+        want = f(points)
         return np.max(np.abs(got - want)) / np.max(np.abs(grid.values))
 
     @settings(max_examples=25, deadline=None)
@@ -366,39 +367,47 @@ class TestEvaluate:
         st.integers(0, 2), st.integers(0, 2**32 - 1),
     )
     def test_grid_call_matches_points(self, half_lambda, n_theta_half, degrees, extra, seed):
-        # the grid of longitudes and colatitudes against the same grid given
-        # as sphere points
+        # the lat-lon grid against the same grid given as sphere points, on
+        # grids of at least 2h + 1 longitudes, h the largest degree asked for;
+        # a grid of fewer cannot hold the orders -h .. h
         degrees = sorted(degrees)
         co = random_triangle(degrees[-1] + extra, seed)
-        lam = -np.pi + np.pi * np.arange(2 * half_lambda) / half_lambda
-        theta = np.pi * np.arange(n_theta_half + 1) / n_theta_half
-        grid = sh_synthesize(co, lam, theta, degrees)
-        assert grid.shape == (len(degrees), n_theta_half + 1, 2 * half_lambda)
-        points = dfs_coord(*np.meshgrid(lam, theta))
+        n_lambda = 2 * (degrees[-1] + half_lambda)
+        grid = sh_synthesize(co, n_lambda, n_theta_half, degrees)
+        assert grid.shape == (len(degrees), n_theta_half + 1, n_lambda)
+        points = dfs_coord(*np.meshgrid(_periodic_nodes(n_lambda), _colatitude_nodes(n_theta_half)))
         assert np.max(np.abs(grid - sh_partial_sums(co, points, degrees))) <= 1e-13
+        if degrees[-1] > 0:
+            with pytest.raises(ValueError, match="cannot hold"):
+                sh_synthesize(co, 2 * degrees[-1], n_theta_half, degrees)
+
+    @pytest.mark.parametrize("h", [1, 2, 7, 24])
+    def test_tightest_grid_matches_points(self, h):
+        # 2h + 2, the fewest even longitudes that hold the 2h + 1 orders, so
+        # the orders +-h sit next to the Nyquist bin
+        co = random_triangle(h, 40 + h)
+        n_lambda, nth = 2 * h + 2, h + 3
+        grid = sh_synthesize(co, n_lambda, nth, [h])
+        points = dfs_coord(*np.meshgrid(_periodic_nodes(n_lambda), _colatitude_nodes(nth)))
+        want = sh_partial_sums(co, points, [h])
+        assert np.max(np.abs(grid - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_degree_zero_and_single_degree(self):
-        # on the grid call and at points alike; degree 0 sums only the constant
+        # on the grid call and at points alike, on a 26 x 7 grid, which holds
+        # the 25 orders of degree 12; degree 0 sums only the constant
         co = random_triangle(12, 3)
-        lam = -np.pi + np.pi * np.arange(10) / 5
-        theta = np.pi * np.arange(7) / 6
-        points = dfs_coord(*np.meshgrid(lam, theta))
+        points = dfs_coord(*np.meshgrid(_periodic_nodes(26), _colatitude_nodes(6)))
         for degrees in ([0], [5], [0, 12]):
             oracle = shell_partial_sums(co, points, degrees)
-            assert np.max(np.abs(sh_synthesize(co, lam, theta, degrees) - oracle)) <= 1e-13
+            assert np.max(np.abs(sh_synthesize(co, 26, 6, degrees) - oracle)) <= 1e-13
             assert np.max(np.abs(sh_partial_sums(co, points, degrees) - oracle)) <= 1e-13
         constant = co.coeff(0, 0) / np.sqrt(4 * np.pi)
-        assert np.all(sh_synthesize(co, [0.1, 3.0], [0.5, 2.0], [0]) == constant)
+        assert np.all(sh_synthesize(co, 2, 1, [0]) == constant)
         assert np.all(sh_partial_sums(co, points, [0]) == constant)
-        with pytest.raises(ValueError, match="1-d"):
-            sh_synthesize(co, lam, theta[:, None], [0])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_synthesize_rejects_non_finite_colatitude(self, bad):
-        # a NaN or infinite colatitude used to give NaN sums, with no error
-        co = random_triangle(3, 2)
-        with pytest.raises(ValueError, match="finite"):
-            sh_synthesize(co, [0.0, 1.0], [0.5, bad], [3])
+        # sizes are checked as sample_sphere checks them
+        for n_lambda, nth, match in [(27, 6, "even"), (0, 6, "even"), (26, 0, "n_theta_half")]:
+            with pytest.raises(ValueError, match=match):
+                sh_synthesize(co, n_lambda, nth, [0])
 
     def test_slice_boundary_cuts_the_points(self):
         # at h = 12 and three degrees a slice holds 2^21 // (25 * (3 + 1)) = 20971
@@ -411,11 +420,10 @@ class TestEvaluate:
     def test_grid_and_points_in_bounded_memory(self):
         # h = 24 at the 512 x 257 grid: given as its 131584 points, A goes in
         # slices of 2^21 // (49 * (3 + 1)) = 10699 points (unsliced, it alone
-        # would take 310 MB); given as longitudes and colatitudes, A spans the
-        # 257 colatitudes only
+        # would take 310 MB); given as the grid's sizes, A spans the 257
+        # colatitudes only
         co = random_triangle(24, 5)
-        lam = -np.pi + np.pi * np.arange(512) / 256
-        theta = np.pi * np.arange(257) / 256
+        lam, theta = _periodic_nodes(512), _colatitude_nodes(256)
         degrees = [8, 16, 24]
 
         def traced(call, *args):
@@ -425,7 +433,7 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
 
-        grid, grid_peak = traced(sh_synthesize, lam, theta)
+        grid, grid_peak = traced(sh_synthesize, 512, 256)
         scattered, points_peak = traced(sh_partial_sums, dfs_coord(*np.meshgrid(lam, theta)))
         assert np.max(np.abs(scattered - grid)) <= 1e-13
         assert points_peak <= 96 * 2**20
@@ -435,9 +443,7 @@ class TestEvaluate:
         # 480^2 points at h = 12 and three degrees: whole, the colatitude table
         # alone would take 276 MB
         co = random_triangle(12, 6)
-        lam = -np.pi + 2 * np.pi * np.arange(480) / 480
-        theta = np.pi * np.arange(480) / 479
-        points = dfs_coord(*np.meshgrid(lam, theta))
+        points = dfs_coord(*np.meshgrid(_periodic_nodes(480), _colatitude_nodes(479)))
         degrees = [4, 8, 12]
         tracemalloc.start()
         try:
@@ -445,7 +451,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.max(np.abs(scattered - sh_synthesize(co, lam, theta, degrees))) <= 1e-13
+        assert np.max(np.abs(scattered - sh_synthesize(co, 480, 479, degrees))) <= 1e-13
         assert peak <= 96 * 2**20
 
     @pytest.mark.parametrize("degrees", [[], [-1], [8, 4], [13], [2.5]],

@@ -1510,12 +1510,24 @@ class TestCoeffIO:
 
     @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
     def test_rejects_non_finite_payload(self, tmp_path, bad):
-        table = CoefficientTable(cos_theta_table(16).values.copy())  # a full copy, as the values of a half table are read-only
-        table.values[2, 3] = bad
+        import struct
+
+        values = cos_theta_table(16).values.copy()  # a full copy, as the values of a half table are read-only
+        values[2, 3] = bad
         path = tmp_path / "n.dfsc"
-        coeff_io_write(table, path)
+        path.write_bytes(b"DFSC" + struct.pack("<Iqqqq", 1, -8, 8, -8, 8) + b"\0" + values.astype("<c16").tobytes())
         with pytest.raises(ValueError, match="non-finite"):
             coeff_io_read(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
+    def test_write_rejects_non_finite_payload_and_leaves_no_file(self, tmp_path, bad):
+        # the writer used to write what the reader then rejected
+        table = CoefficientTable(cos_theta_table(16).values.copy())
+        table.values[2, 3] = bad
+        path = tmp_path / "n.dfsc"
+        with pytest.raises(ValueError, match="non-finite"):
+            coeff_io_write(table, path)
+        assert not path.exists()
 
     def test_rejects_unknown_normalization_tag(self, tmp_path):
         path = tmp_path / "c.dfsc"
